@@ -23,8 +23,8 @@ Usage examples:
 Exact coefficients survive the shell as "num/den" tokens: series terms are
 "coeff@exponent" comma lists, complex coefficients "1/2+3/4i". Defaults can
 come from a config file of "key = value" lines (--config) or environment
-variables prefixed BERGSPACE_ (GRID, OUTPUT_FORMAT, FLOAT_DIGITS,
-SIEVE_CACHE_PATH); flags win over both.
+variables prefixed BERGSPACE_ (GRID, OUTPUT_FORMAT, FLOAT_DIGITS); flags
+win over both.
 """
 
 from __future__ import annotations
@@ -143,7 +143,6 @@ class RunConfig:
     default_grid: QuadratureGrid = QuadratureGrid()
     output_format: str = "json"
     float_digits: int = 15
-    sieve_cache_path: str | None = None
 
     def __post_init__(self):
         if not 1 <= self.float_digits <= 30:
@@ -173,7 +172,7 @@ def load_config(config_path: str | None, env: dict[str, str]) -> RunConfig:
     values: dict[str, str] = {}
     if config_path:
         values.update(_read_config_file(config_path))
-    for key in ("grid", "output_format", "float_digits", "sieve_cache_path"):
+    for key in ("grid", "output_format", "float_digits"):
         env_value = env.get(ENV_PREFIX + key.upper())
         if env_value is not None:
             values[key] = env_value
@@ -187,33 +186,7 @@ def load_config(config_path: str | None, env: dict[str, str]) -> RunConfig:
             cfg = replace(cfg, float_digits=int(values["float_digits"]))
         except ValueError:
             raise UsageError(f"bad float_digits {values['float_digits']!r}") from None
-    if "sieve_cache_path" in values:
-        cfg = replace(cfg, sieve_cache_path=values["sieve_cache_path"] or None)
     return cfg
-
-
-def _load_sieve_cache(path: str) -> int:
-    """Warm the in-memory sieve from the file; returns the file's limit."""
-    try:
-        text = Path(path).read_text().split()
-    except OSError:
-        return 0
-    if not text:
-        return 0
-    limit = int(text[0])
-    primes.warm_cache([int(t) for t in text[1:]], limit)
-    return limit
-
-
-def _save_sieve_cache(path: str, file_limit: int) -> None:
-    """Write the sieve back whenever memory knows more than the file."""
-    limit, cached = primes.cache_snapshot()
-    if limit <= file_limit:
-        return
-    try:
-        Path(path).write_text(" ".join([str(limit)] + [str(p) for p in cached]))
-    except OSError as exc:
-        print(f"warning: could not write sieve cache: {exc}", file=sys.stderr)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -522,12 +495,7 @@ def dispatch(argv: list[str]) -> int:
         digits = getattr(args, "float_digits", None)
         if digits is not None:
             cfg = replace(cfg, float_digits=digits)
-        file_limit = 0
-        if cfg.sieve_cache_path:
-            file_limit = _load_sieve_cache(cfg.sieve_cache_path)
         output = args.handler(args, cfg)
-        if cfg.sieve_cache_path:
-            _save_sieve_cache(cfg.sieve_cache_path, file_limit)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,13 +18,14 @@ order-sensitive by design); verification of a finished report is pure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoverageGap, PartitionViolation, TailNotSmall
 from .primes import PrimePartition, make_partition, rough_numbers, smooth_numbers, tail_sum
 from .rational import PiRational, sum_fractions
-from .series import SparseSeries, add, compose_power, norm_sq, truncate
+from .series import SparseSeries, add, norm_sq
 
 __all__ = [
     "Block",
@@ -39,6 +40,11 @@ __all__ = [
     "step_one_norm_bound",
     "step_two_norm_bound",
 ]
+
+
+def _unit_norm_sq(exponents) -> PiRational:
+    """||sum z^e||^2 on the unit disc for distinct exponents e: pi * sum 1/(e+1)."""
+    return PiRational(sum_fractions([Fraction(1, e + 1) for e in exponents]))
 
 
 @dataclass(frozen=True)
@@ -66,39 +72,39 @@ class PartitionReport:
 def geometric_partition(pk: int, degree: int) -> PartitionReport:
     """Partition the exponents 0..degree into 1, z, F(z), z^k and F(z^k) blocks.
 
-    Raises PartitionViolation if any exponent is covered zero or two times;
-    that would be a bug, and it is surfaced rather than repaired.
+    The one exact check: every exponent in 0..degree lies in exactly one
+    block. Every block is a 0/1 series, so this alone proves that the
+    blocks sum to 1 + z + ... + z^degree. A failure raises
+    PartitionViolation; that would be a bug, and it is surfaced rather
+    than repaired.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree)
-    smooth = smooth_numbers(part, degree)
     rough = rough_numbers(part, degree)
 
-    blocks = [
-        Block("1", SparseSeries.monomial(0)),
-        Block("z", SparseSeries.monomial(1)),
-        Block("F(z)", SparseSeries.from_exponents(rough, degree_bound=degree)),
+    layout: list[tuple[Block, list[int]]] = [
+        (Block("1", SparseSeries.monomial(0)), [0]),
+        (Block("z", SparseSeries.monomial(1)), [1]),
+        (Block("F(z)", SparseSeries.from_exponents(rough, degree_bound=degree)), rough),
     ]
-    for k in smooth:
-        shifted = [k * n for n in rough if k * n <= degree]
-        blocks.append(Block(f"z^{k}", SparseSeries.monomial(k)))
-        blocks.append(Block(f"F(z^{k})", SparseSeries.from_exponents(shifted, degree_bound=degree)))
+    for k in smooth_numbers(part, degree):
+        shifted = [k * n for n in rough[: bisect_right(rough, degree // k)]]
+        layout.append((Block(f"z^{k}", SparseSeries.monomial(k)), [k]))
+        layout.append(
+            (Block(f"F(z^{k})", SparseSeries.from_exponents(shifted, degree_bound=degree)), shifted)
+        )
 
     coverage: dict[int, str] = {}
-    for block in blocks:
-        for e, _ in block.series.terms():
+    for block, exponents in layout:
+        for e in exponents:
             if e in coverage:
                 raise PartitionViolation(e, [coverage[e], block.label])
             coverage[e] = block.label
     for e in range(degree + 1):
         if e not in coverage:
             raise PartitionViolation(e, [])
-
-    report = PartitionReport(pk, degree, tuple(blocks), coverage)
-    if report.block_sum() != SparseSeries.geometric(degree):
-        raise PartitionViolation(-1, ["block sum differs from geometric series"])
-    return report
+    return PartitionReport(pk, degree, tuple(block for block, _ in layout), coverage)
 
 
 @dataclass(frozen=True)
@@ -122,10 +128,8 @@ def step_one_norm_bound(pk: int, degree: int) -> StepOneBound:
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree)
-    lhs = PiRational(sum_fractions([Fraction(1, n + 1) for n in range(degree + 1)]))
-    f_norm = PiRational(
-        sum_fractions([Fraction(1, n + 1) for n in rough_numbers(part, degree)])
-    )
+    lhs = _unit_norm_sq(range(degree + 1))
+    f_norm = _unit_norm_sq(rough_numbers(part, degree))
     smooth_sum = sum_fractions(
         [Fraction(1, k) for k in smooth_numbers(part, degree)]
     )
@@ -165,8 +169,10 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
 
     Walks the rough numbers l in increasing order; H_l is the l-fold dilate
     of Q truncated at ``degree``, and G_l keeps only monomials not already
-    claimed by Q or an earlier G. Verifies coverage and the exact chain
-    ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 for every l.
+    claimed by Q or an earlier G. Checks the exact chain
+    ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 for every l, then runs one exact
+    coverage check: every rough number up to ``degree`` is claimed by Q or
+    some G_l, or CoverageGap is raised.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -175,32 +181,28 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
             f"p2_limit {p2_limit} < degree {degree}: Q would be incomplete"
         )
     part = make_partition(pk, p2_limit)
-    q = SparseSeries.from_exponents(
-        [p for p in part.p2 if p <= degree], degree_bound=degree
-    )
-    q_norm = norm_sq(q)
-    seen = set(q.support)
+    rough = rough_numbers(part, degree)
+    q_exps = part.p2[: bisect_right(part.p2, degree)]
+    q_norm = _unit_norm_sq(q_exps)
+    seen = set(q_exps)
 
     g_blocks: list[tuple[int, SparseSeries]] = []
     h_norms: list[tuple[int, PiRational]] = []
-    for l in rough_numbers(part, degree):
-        h = truncate(compose_power(q, l), degree)
-        h_norm = norm_sq(h)
-        g = SparseSeries.from_exponents(
-            [e for e in h.support if e not in seen], degree_bound=degree
-        )
-        seen.update(g.support)
-        g_blocks.append((l, g))
+    for l in rough:
+        h = [l * p for p in q_exps[: bisect_right(q_exps, degree // l)]]
+        h_norm = _unit_norm_sq(h)
+        g = [e for e in h if e not in seen]
+        seen.update(g)
+        g_blocks.append((l, SparseSeries.from_exponents(g, degree_bound=degree)))
         h_norms.append((l, h_norm))
-        if not (norm_sq(g) <= h_norm and h_norm <= Fraction(2, l) * q_norm):
+        if not (_unit_norm_sq(g) <= h_norm and h_norm <= Fraction(2, l) * q_norm):
             raise ArithmeticError(f"norm chain violated at l = {l}")
 
-    report = DedupReport(pk, degree, p2_limit, q, tuple(g_blocks), tuple(h_norms))
-    covered = set(report.block_sum().support)
-    for n in rough_numbers(part, degree):
-        if n not in covered:
+    for n in rough:
+        if n not in seen:
             raise CoverageGap(n)
-    return report
+    q = SparseSeries.from_exponents(q_exps, degree_bound=degree)
+    return DedupReport(pk, degree, p2_limit, q, tuple(g_blocks), tuple(h_norms))
 
 
 @dataclass(frozen=True)
@@ -222,10 +224,8 @@ def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
     f_norm = q_norm
     for _, g in report.g_blocks:
         f_norm = f_norm + norm_sq(g)
-    part = make_partition(pk, degree)
-    rough_recip = sum_fractions(
-        [Fraction(1, l) for l in rough_numbers(part, degree)]
-    )
+    # g_blocks holds one entry per rough l <= degree
+    rough_recip = sum_fractions([Fraction(1, l) for l, _ in report.g_blocks])
     bound = q_norm * (2 * (1 + rough_recip))
     return StepTwoBound(pk, degree, p2_limit, f_norm, q_norm, bound, f_norm <= bound)
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import OutOfRange
 from .rational import PiRational, sum_fractions
 from .series import SparseSeries
@@ -50,13 +52,12 @@ class PrimeSet:
 def _sieve_list(limit: int) -> list[int]:
     if limit < 2:
         return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * len(range(start, limit + 1, p))
-    return [i for i, v in enumerate(flags) if v]
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
 
 
 def sieve(limit: int) -> PrimeSet:
@@ -66,8 +67,9 @@ def sieve(limit: int) -> PrimeSet:
     return PrimeSet(limit, tuple(_primes_up_to(limit)))
 
 
-# Growing cache shared by all queries: (limit, primes list). Rebuilds swap
-# the whole tuple, so concurrent readers always see a consistent snapshot.
+# In-memory sieve shared by every query in this process: (limit, primes
+# list). Rebuilds at least double the limit and swap the whole tuple, so
+# concurrent readers always see a consistent snapshot.
 _cache: tuple[int, list[int]] = (1, [])
 
 
@@ -79,18 +81,6 @@ def _primes_up_to(limit: int) -> list[int]:
         cached = _sieve_list(new_limit)
         _cache = (new_limit, cached)
     return cached[: bisect_right(cached, limit)]
-
-
-def warm_cache(primes: list[int], limit: int) -> None:
-    """Seed the sieve cache (used by the CLI's on-disk cache)."""
-    global _cache
-    if limit > _cache[0]:
-        _cache = (limit, list(primes))
-
-
-def cache_snapshot() -> tuple[int, list[int]]:
-    limit, primes = _cache
-    return limit, list(primes)
 
 
 # Prefix sums of 1/(p+1) over one common denominator make a windowed norm
@@ -192,22 +182,13 @@ class PrimePartition:
 
 
 def make_partition(pk: int, p2_limit: int) -> PrimePartition:
-    if pk < 2 or not _is_prime(pk):
-        raise OutOfRange(f"cutoff must be prime, got {pk}")
-    primes = _primes_up_to(max(p2_limit, pk - 1, 0))
+    primes = _primes_up_to(max(p2_limit, pk))
     split = bisect_left(primes, pk)
+    if split == len(primes) or primes[split] != pk:
+        raise OutOfRange(f"cutoff must be prime, got {pk}")
     p1 = tuple(primes[:split])
-    p2 = tuple(p for p in primes[split:] if p <= p2_limit)
+    p2 = tuple(primes[split : bisect_right(primes, p2_limit)])
     return PrimePartition(pk, p1, p2_limit, p2)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -267,11 +248,13 @@ def smooth_numbers(part: PrimePartition, limit: int) -> list[int]:
 
 def rough_numbers(part: PrimePartition, limit: int) -> list[int]:
     """All n in [2, limit] with no prime factor below pk, sorted."""
-    out = []
-    for n in range(2, limit + 1):
-        if all(n % p for p in part.p1):
-            out.append(n)
-    return out
+    if limit < 2:
+        return []
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in part.p1:
+        flags[p::p] = False
+    return np.flatnonzero(flags).tolist()
 
 
 def euler_product_smooth(part: PrimePartition) -> Fraction:

@@ -217,7 +217,10 @@ def test_csv_format_flag(capsys):
 
 def test_config_file_and_env_precedence(tmp_path, monkeypatch, capsys):
     config = tmp_path / "bergspace.conf"
-    config.write_text("float_digits = 3\noutput_format = json  # comment\n")
+    # sieve_cache_path is a retired key: old files that set it still load
+    config.write_text(
+        "float_digits = 3\noutput_format = json  # comment\nsieve_cache_path = primes.txt\n"
+    )
     cfg = load_config(str(config), {})
     assert cfg.float_digits == 3
     cfg = load_config(str(config), {"BERGSPACE_FLOAT_DIGITS": "5"})
@@ -246,19 +249,3 @@ def test_config_validation():
         RunConfig(output_format="xml")
     with pytest.raises(UsageError):
         load_config(None, {"BERGSPACE_FLOAT_DIGITS": "40"})
-
-
-def test_sieve_cache_round_trip(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "primes.txt"
-    monkeypatch.setenv("BERGSPACE_SIEVE_CACHE_PATH", str(cache))
-    code, _, _ = run_cli(capsys, "primes", "norm", "--limit", "10000")
-    assert code == 0
-    limit, *primes = [int(tok) for tok in cache.read_text().split()]
-    assert limit >= 10000
-    assert primes[:4] == [2, 3, 5, 7]
-    # second run loads the cache without error and gives the same values
-    code, out, _ = run_cli(capsys, "primes", "norm", "--limit", "100")
-    assert code == 0
-    from bergspace.primes import prime_norm_partial
-
-    assert PiRational.from_json(json.loads(out)) == prime_norm_partial(100)

@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from bergspace import SparseSeries, UNIT_DISC, norm_sq
+from bergspace import SparseSeries, UNIT_DISC, decomposition, norm_sq
 from bergspace.decomposition import (
     geometric_partition,
     rough_dedup,
@@ -10,9 +11,10 @@ from bergspace.decomposition import (
     step_one_norm_bound,
     step_two_norm_bound,
 )
-from bergspace.errors import TailNotSmall
+from bergspace.errors import CoverageGap, PartitionViolation, TailNotSmall
 from bergspace.primes import make_partition, rough_numbers
 from bergspace.rational import PiRational, sum_fractions
+from bergspace.series import compose_power, truncate
 
 
 def pi_frac(num, den=1):
@@ -67,6 +69,22 @@ def test_partition_parseval():
     for block in report.blocks:
         by_blocks = by_blocks + norm_sq(block.series, UNIT_DISC)
     assert total == by_blocks
+
+
+@pytest.mark.parametrize(
+    "corrupt, exponent",
+    [
+        (lambda rough: rough[1:], 3),  # rough exponent 3 dropped: uncovered
+        (lambda rough: sorted(rough + [4]), 4),  # smooth 4 added: covered twice
+    ],
+)
+def test_partition_coverage_check_catches_a_wrong_rough_set(monkeypatch, corrupt, exponent):
+    monkeypatch.setattr(
+        decomposition, "rough_numbers", lambda part, limit: corrupt(rough_numbers(part, limit))
+    )
+    with pytest.raises(PartitionViolation) as info:
+        geometric_partition(3, 50)
+    assert info.value.exponent == exponent
 
 
 # -- geometric-series norm bound -------------------------------------------------
@@ -155,6 +173,24 @@ def test_dedup_parseval():
     for _, g in report.g_blocks:
         by_blocks = by_blocks + norm_sq(g, UNIT_DISC)
     assert total == by_blocks
+
+
+def test_dedup_coverage_check_catches_a_missing_prime(monkeypatch):
+    def short_p2(pk, p2_limit):
+        part = make_partition(pk, p2_limit)
+        return replace(part, p2=part.p2[:-1])
+
+    monkeypatch.setattr(decomposition, "make_partition", short_p2)
+    with pytest.raises(CoverageGap) as info:
+        rough_dedup(3, 100, 100)
+    assert info.value.exponent == 97
+
+
+@pytest.mark.parametrize("pk,degree", [(2, 200), (3, 500), (7, 600)])
+def test_dedup_h_norms_match_dilate_then_truncate(pk, degree):
+    report = rough_dedup(pk, degree, degree)
+    for l, h_norm in report.h_norms:
+        assert h_norm == norm_sq(truncate(compose_power(report.q_block, l), degree))
 
 
 # -- rough-series norm bound -----------------------------------------------------
