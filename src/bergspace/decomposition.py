@@ -221,9 +221,8 @@ class StepTwoBound:
 def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
     report = rough_dedup(pk, degree, p2_limit)
     q_norm = norm_sq(report.q_block)
-    f_norm = q_norm
-    for _, g in report.g_blocks:
-        f_norm = f_norm + norm_sq(g)
+    g_norms = [norm_sq(g).coefficient for _, g in report.g_blocks]
+    f_norm = PiRational(sum_fractions([q_norm.coefficient, *g_norms]))
     # g_blocks holds one entry per rough l <= degree
     rough_recip = sum_fractions([Fraction(1, l) for l, _ in report.g_blocks])
     bound = q_norm * (2 * (1 + rough_recip))

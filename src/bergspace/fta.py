@@ -21,7 +21,8 @@ inner integral, is this module's reformulation; it is quantitative, not
 exact, and the two integral terms are the only floating-point values in
 the pipeline.
 
-Everything upstream of the quadrature is exact rational arithmetic.
+Everything upstream of the quadrature is exact rational arithmetic, and
+numpy is imported only inside the three functions that run the quadrature.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegreeTooSmall, NearZeroDetected, ZeroConstantTerm
 from .rational import GaussianLike, GaussianRational
 from .series import SparseSeries
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CertificateReport",
@@ -99,6 +102,8 @@ class Polynomial:
         return acc
 
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         acc = np.zeros_like(z, dtype=np.complex128)
         for c in reversed(self.coeffs):
             acc = acc * z + complex(c)
@@ -216,6 +221,8 @@ class QuadratureGrid:
 
     def radial_cells(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(midpoints, widths) of the n_r radial cells covering [0, radius]."""
+        import numpy as np
+
         exponents = (self.n_r - np.arange(1, self.n_r + 1)) / (self.n_r - 1)
         edges = np.concatenate(([0.0], radius * self.min_radius_fraction**exponents))
         return (edges[:-1] + edges[1:]) / 2.0, np.diff(edges)
@@ -234,6 +241,8 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
     node has |P| below the zero threshold; callers treat that node as a
     found root, not as a failure.
     """
+    import numpy as np
+
     grid = grid or QuadratureGrid()
     radius = float(Fraction(r0))
     if radius <= 0:

@@ -9,13 +9,12 @@ of terms 1/(p+1), scaled by pi.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import OutOfRange
 from .rational import PiRational, sum_fractions
@@ -50,14 +49,20 @@ class PrimeSet:
 
 
 def _sieve_list(limit: int) -> list[int]:
+    # Odd-only sieve: flag i stands for 2i+1. A bytearray with slice
+    # assignment keeps numpy (and its ~0.1 s import) off this path; it runs
+    # about half numpy's speed, still under 0.2 s at 1e7.
     if limit < 2:
         return []
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).tolist()
+    n = (limit + 1) // 2
+    flags = bytearray(b"\x01") * n
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, n, p)))
+    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
 
 
 def sieve(limit: int) -> PrimeSet:
@@ -250,11 +255,11 @@ def rough_numbers(part: PrimePartition, limit: int) -> list[int]:
     """All n in [2, limit] with no prime factor below pk, sorted."""
     if limit < 2:
         return []
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
+    flags = bytearray(b"\x01") * (limit + 1)
+    flags[:2] = b"\x00\x00"
     for p in part.p1:
-        flags[p::p] = False
-    return np.flatnonzero(flags).tolist()
+        flags[p::p] = bytes(len(range(p, limit + 1, p)))
+    return list(itertools.compress(range(limit + 1), flags))
 
 
 def euler_product_smooth(part: PrimePartition) -> Fraction:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
 from .rational import (
+    GAUSSIAN_ONE,
     GaussianLike,
     GaussianRational,
     PiRational,
@@ -115,7 +116,7 @@ class SparseSeries:
     @staticmethod
     def from_exponents(exponents, degree_bound: int | None = None) -> SparseSeries:
         """0/1 series with the given exponent set."""
-        return SparseSeries({e: 1 for e in exponents}, degree_bound)
+        return SparseSeries(dict.fromkeys(exponents, GAUSSIAN_ONE), degree_bound)
 
     # -- inspection --------------------------------------------------------
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +253,44 @@ def test_config_validation():
         RunConfig(output_format="xml")
     with pytest.raises(UsageError):
         load_config(None, {"BERGSPACE_FLOAT_DIGITS": "40"})
+
+
+# -- start-up path -----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*argv_lists):
+    """Run dispatch on each argv in a fresh interpreter; return the exit
+    codes and whether numpy got imported."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import bergspace, bergspace.cli\n"
+        "codes = []\n"
+        f"for argv in {list(argv_lists)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(bergspace.cli.dispatch(argv))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_do_not_import_numpy():
+    codes, numpy_loaded = run_fresh(
+        ["norm", "--series", "1@0,1@1", "--radius", "1"],
+        ["primes", "norm", "--limit", "1000"],
+        ["decompose", "rough", "--pk", "3", "--degree", "100"],
+        ["sweep", "bertrand", "--range", "1..20"],
+    )
+    assert codes == [0, 0, 0, 0]
+    assert not numpy_loaded
+
+
+def test_quadrature_imports_numpy_on_first_use():
+    codes, numpy_loaded = run_fresh(["fta-cert", "--poly", "6,-5,1", "--grid", "64x64"])
+    assert codes == [0]
+    assert numpy_loaded

@@ -1,10 +1,12 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
 from bergspace import UNIT_DISC, norm_sq
+from bergspace import primes
 from bergspace.errors import OutOfRange
 from bergspace.primes import (
     Classification,
@@ -41,6 +43,19 @@ def test_sieve_against_trial_division():
     assert len(got) == 1229
     expected = tuple(n for n in range(2, 10_001) if oracle_is_prime(n))
     assert got == expected
+
+
+def test_sieve_list_small_limits_and_prime_squares():
+    # the odd-only sieve starts marking at p^2; limits next to a square
+    # catch an off-by-one in the start index or in the outer loop bound.
+    # sieve() reads through a cache that rounds limits up, so call the
+    # sieve itself.
+    oracle = [n for n in range(2, 317 * 317 + 2) if oracle_is_prime(n)]
+    square_limits = [
+        p * p + d for p in range(2, 318) if oracle_is_prime(p) for d in (-1, 0, 1)
+    ]
+    for limit in [*range(2001), *square_limits]:
+        assert primes._sieve_list(limit) == oracle[: bisect_right(oracle, limit)]
 
 
 def test_prime_series_examples():
@@ -131,6 +146,14 @@ def test_smooth_rough_against_factorization_oracle():
         factors = oracle_prime_factors(n)
         assert (n in smooth) == all(p < 7 for p in factors)
         assert (n in rough) == all(p >= 7 for p in factors)
+
+
+@pytest.mark.parametrize("pk", [2, 3, 5, 7, 29])
+def test_rough_numbers_against_trial_division(pk):
+    small = [p for p in range(2, pk) if oracle_is_prime(p)]
+    for limit in range(301):
+        expected = [n for n in range(2, limit + 1) if all(n % p for p in small)]
+        assert rough_numbers(make_partition(pk, limit), limit) == expected
 
 
 def test_euler_product_examples():
