@@ -59,7 +59,7 @@ from .primes import (
     tail_sum,
     twin_prime_norm_partial,
 )
-from .rational import GaussianRational, PiRational, sum_fractions
+from .rational import GaussianRational, PiRational, sum_fractions, sum_reciprocals
 from .series import (
     Disc,
     SparseSeries,

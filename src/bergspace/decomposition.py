@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import CoverageGap, PartitionViolation, TailNotSmall
 from .primes import PrimePartition, make_partition, rough_numbers, smooth_numbers, tail_sum
-from .rational import PiRational, sum_fractions
+from .rational import PiRational, sum_fractions, sum_reciprocals
 from .series import SparseSeries, add, norm_sq
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 
 def _unit_norm_sq(exponents) -> PiRational:
     """||sum z^e||^2 on the unit disc for distinct exponents e: pi * sum 1/(e+1)."""
-    return PiRational(sum_fractions([Fraction(1, e + 1) for e in exponents]))
+    return PiRational(sum_reciprocals([e + 1 for e in exponents]))
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ def step_one_norm_bound(pk: int, degree: int) -> StepOneBound:
     part = make_partition(pk, degree)
     lhs = _unit_norm_sq(range(degree + 1))
     f_norm = _unit_norm_sq(rough_numbers(part, degree))
-    smooth_sum = sum_fractions(
-        [Fraction(1, k) for k in smooth_numbers(part, degree)]
-    )
+    smooth_sum = sum_reciprocals(smooth_numbers(part, degree))
     rhs_coeff = (
         Fraction(3, 2)
         + f_norm.coefficient
@@ -224,7 +222,7 @@ def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
     g_norms = [norm_sq(g).coefficient for _, g in report.g_blocks]
     f_norm = PiRational(sum_fractions([q_norm.coefficient, *g_norms]))
     # g_blocks holds one entry per rough l <= degree
-    rough_recip = sum_fractions([Fraction(1, l) for l, _ in report.g_blocks])
+    rough_recip = sum_reciprocals([l for l, _ in report.g_blocks])
     bound = q_norm * (2 * (1 + rough_recip))
     return StepTwoBound(pk, degree, p2_limit, f_norm, q_norm, bound, f_norm <= bound)
 
@@ -258,7 +256,5 @@ def rough_tail_geometric_bound(part: PrimePartition, terms: int) -> RoughTailBou
     if s >= 1:
         raise TailNotSmall(s)
     geometric = s / (1 - s)
-    partial = sum_fractions(
-        [Fraction(1, l) for l in rough_numbers(part, max(terms, 1))]
-    )
+    partial = sum_reciprocals(rough_numbers(part, max(terms, 1)))
     return RoughTailBound(s, geometric, partial, terms, partial <= geometric)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OutOfRange
-from .rational import PiRational, sum_fractions
+from .rational import PiRational, sum_reciprocals
 from .series import SparseSeries
 
 __all__ = [
@@ -121,7 +121,7 @@ def _recip_succ_window(lo: int, hi: int) -> Fraction:
     if level > _PREFIX_LEVEL_CAP:
         primes = _primes_up_to(hi)
         start = bisect_right(primes, lo)
-        return sum_fractions([Fraction(1, p + 1) for p in primes[start:]])
+        return sum_reciprocals([p + 1 for p in primes[start:]])
     primes, prefix, common = _recip_succ_prefix(level)
     i = bisect_right(primes, lo)
     j = bisect_right(primes, hi)
@@ -139,9 +139,7 @@ def prime_norm_partial(limit: int) -> PiRational:
     """||sum z^p||^2 on the unit disc = pi * sum_{p <= limit} 1/(p+1), exact."""
     if limit < 0:
         raise OutOfRange(f"limit must be >= 0, got {limit}")
-    return PiRational(
-        sum_fractions([Fraction(1, p + 1) for p in _primes_up_to(limit)])
-    )
+    return PiRational(sum_reciprocals([p + 1 for p in _primes_up_to(limit)]))
 
 
 def twin_prime_norm_partial(limit: int) -> PiRational:
@@ -150,8 +148,8 @@ def twin_prime_norm_partial(limit: int) -> PiRational:
         raise OutOfRange(f"limit must be >= 0, got {limit}")
     primes = _primes_up_to(limit + 2)
     prime_set = set(primes)
-    terms = [Fraction(1, p + 1) for p in primes if p <= limit and p + 2 in prime_set]
-    return PiRational(sum_fractions(terms))
+    terms = [p + 1 for p in primes if p <= limit and p + 2 in prime_set]
+    return PiRational(sum_reciprocals(terms))
 
 
 class BertrandWitness(NamedTuple):
@@ -255,11 +253,16 @@ def rough_numbers(part: PrimePartition, limit: int) -> list[int]:
     """All n in [2, limit] with no prime factor below pk, sorted."""
     if limit < 2:
         return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[:2] = b"\x00\x00"
-    for p in part.p1:
-        flags[p::p] = bytes(len(range(p, limit + 1, p)))
-    return list(itertools.compress(range(limit + 1), flags))
+    if not part.p1:
+        return list(range(2, limit + 1))
+    # p1 holds 2, so only odd n can be rough: flag i stands for 2i+1, as in
+    # _sieve_list, and the odd multiples of p sit p flags apart from p.
+    n = (limit + 1) // 2
+    flags = bytearray(b"\x01") * n
+    flags[0] = 0
+    for p in part.p1[1:]:
+        flags[p // 2 :: p] = bytes(len(range(p // 2, n, p)))
+    return list(itertools.compress(range(1, limit + 1, 2), flags))
 
 
 def euler_product_smooth(part: PrimePartition) -> Fraction:
@@ -276,4 +279,4 @@ def euler_product_smooth(part: PrimePartition) -> Fraction:
 
 def tail_sum(part: PrimePartition) -> Fraction:
     """sum of 1/p over the primes in [pk, p2_limit], exact."""
-    return sum_fractions([Fraction(1, p) for p in part.p2])
+    return sum_reciprocals(part.p2)

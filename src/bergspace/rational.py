@@ -3,12 +3,17 @@
 Everything here is built on ``fractions.Fraction`` so that equality,
 comparison and accumulation are exact. Floats appear only on explicit
 conversion (``complex()``, ``float()``), which the CLI uses for display.
+
+Sums of many terms go through one integer kernel: ``sum_fractions`` adds
+Fractions and ``sum_reciprocals`` adds 1/d over ints, both by merging
+plain numerator/denominator pairs tree-style and reducing once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from math import pi as _PI
 from typing import Iterable, Union
 
@@ -24,22 +29,40 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def sum_fractions(items: Iterable[Fraction]) -> Fraction:
-    """Sum exactly, pairing terms tree-style.
+def _sum_ratios(nums: list[int], dens: list[int]) -> Fraction:
+    """Exact sum of nums[i] / dens[i], merging neighbours tree-style.
 
-    A left fold re-normalises a huge accumulator against every small term;
-    balanced merging keeps intermediate numerators/denominators comparable
-    in size, which matters when summing thousands of unit fractions.
+    Balanced merging keeps the two sides of every addition comparable in
+    size, which matters when summing thousands of unit fractions. Each merge
+    puts its pair over the lcm of their denominators and leaves the
+    numerator unreduced, so the one gcd of a large numerator is the one the
+    final Fraction takes. A zero denominator stays zero up the tree and
+    raises ZeroDivisionError.
     """
+    while len(nums) > 1:
+        merged_nums, merged_dens = [], []
+        for n1, n2, d1, d2 in zip(nums[::2], nums[1::2], dens[::2], dens[1::2]):
+            g = gcd(d1, d2)
+            d1 //= g
+            merged_nums.append(n1 * (d2 // g) + n2 * d1)
+            merged_dens.append(d1 * d2)
+        if len(nums) % 2:
+            merged_nums.append(nums[-1])
+            merged_dens.append(dens[-1])
+        nums, dens = merged_nums, merged_dens
+    return Fraction(nums[0], dens[0]) if nums else Fraction(0)
+
+
+def sum_fractions(items: Iterable[Fraction]) -> Fraction:
+    """Exact sum of Fractions (or ints) as a reduced Fraction."""
     vals = list(items)
-    if not vals:
-        return Fraction(0)
-    while len(vals) > 1:
-        half = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            half.append(vals[-1])
-        vals = half
-    return vals[0]
+    return _sum_ratios([x.numerator for x in vals], [x.denominator for x in vals])
+
+
+def sum_reciprocals(denominators: Iterable[int]) -> Fraction:
+    """Exact sum of 1/d over the given nonzero ints, as a reduced Fraction."""
+    dens = list(denominators)
+    return _sum_ratios([1] * len(dens), dens)
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,6 +26,7 @@ from .rational import (
     GaussianRational,
     PiRational,
     RationalLike,
+    _sum_ratios,
     sum_fractions,
 )
 
@@ -264,11 +265,16 @@ def inner_product(f: SparseSeries, g: SparseSeries, disc: Disc = UNIT_DISC) -> P
 
 
 def norm_sq(f: SparseSeries, disc: Disc = UNIT_DISC) -> PiRational:
-    """||f||^2 = <f, f>; the coefficient is nonnegative and zero iff f = 0."""
-    radius = disc.radius
-    unit = radius == 1
-    terms = []
+    """||f||^2 = <f, f>; the coefficient is nonnegative and zero iff f = 0.
+
+    Summed on integers: for R = a/b and c = p/q + (s/t)i, the term of z^e is
+    ((pt)^2 + (sq)^2) a^(2e+2) / ((qt)^2 b^(2e+2) (e+1)).
+    """
+    a, b = disc.radius.numerator, disc.radius.denominator
+    nums, dens = [], []
     for e, c in f._coeffs.items():
-        weight = Fraction(1, e + 1) if unit else radius ** (2 * e + 2) / (e + 1)
-        terms.append(c.abs_sq() * weight)
-    return PiRational(sum_fractions(terms))
+        p, q = c.re.numerator, c.re.denominator
+        s, t = c.im.numerator, c.im.denominator
+        nums.append(((p * t) ** 2 + (s * q) ** 2) * a ** (2 * e + 2))
+        dens.append((q * t) ** 2 * b ** (2 * e + 2) * (e + 1))
+    return PiRational(_sum_ratios(nums, dens))

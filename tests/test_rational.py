@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bergspace.rational import GaussianRational, PiRational, sum_fractions
+from bergspace.rational import GaussianRational, PiRational, sum_fractions, sum_reciprocals
 
 
 def test_gaussian_arithmetic():
@@ -71,3 +74,63 @@ def test_sum_fractions_matches_fold():
     terms = [Fraction(1, n) for n in range(1, 500)]
     assert sum_fractions(terms) == sum(terms)
     assert sum_fractions([]) == 0
+
+
+def assert_reduced(x):
+    assert type(x) is Fraction
+    assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+# Small terms next to terms with 40- to 60-digit numerators and denominators,
+# so merges pair operands of very different sizes; ints ride along.
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+big_fractions = st.builds(
+    Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**40)
+)
+mixed_items = st.lists(
+    st.one_of(small_fractions, big_fractions, st.integers(-(10**30), 10**30)),
+    max_size=70,
+)
+# Repeats come from the narrow range; composites and negatives from its shape.
+denominators = st.lists(
+    st.one_of(st.integers(-30, -1), st.integers(1, 30), st.integers(2, 10**6)),
+    max_size=150,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=mixed_items)
+def test_sum_fractions_matches_fold_on_signed_mixed_sizes(items):
+    total = sum_fractions(items)
+    assert total == sum(items, Fraction(0))
+    assert_reduced(total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dens=denominators)
+def test_sum_reciprocals_matches_fold(dens):
+    total = sum_reciprocals(dens)
+    assert total == sum((Fraction(1, d) for d in dens), Fraction(0))
+    assert_reduced(total)
+
+
+def test_sums_of_nothing_and_of_one_term():
+    cases = [
+        (sum_fractions([]), 0),
+        (sum_reciprocals([]), 0),
+        (sum_fractions([Fraction(-3, 2)]), Fraction(-3, 2)),
+        (sum_fractions([7]), 7),
+        (sum_reciprocals([-8]), Fraction(-1, 8)),
+        # generators are read once
+        (sum_fractions(Fraction(1, d) for d in (2, 3, 6)), 1),
+        (sum_reciprocals(d for d in (2, 3, 6)), 1),
+    ]
+    for total, expected in cases:
+        assert total == expected
+        assert_reduced(total)
+
+
+def test_sum_reciprocals_rejects_a_zero_denominator():
+    for dens in ([3, 0], [0], [0, 3], [0, 0], [2, 5, 0, 7, 9]):
+        with pytest.raises(ZeroDivisionError):
+            sum_reciprocals(dens)

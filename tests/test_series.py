@@ -76,6 +76,29 @@ def test_norm_against_direct_oracle():
     assert norm_sq(f, UNIT_DISC) == PiRational(re, im)
 
 
+gaussian_st = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-9, max_value=9, max_denominator=15),
+    st.fractions(min_value=-9, max_value=9, max_denominator=15),
+).filter(lambda c: c.abs_sq() not in (0, 1))
+gaussian_series_st = st.dictionaries(
+    st.integers(0, 60), gaussian_st, min_size=1, max_size=10
+).map(SparseSeries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    f=gaussian_series_st,
+    r=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3)]),
+)
+def test_norm_sq_matches_direct_fold_and_inner_product(f, r):
+    fold = Fraction(0)
+    for e, c in f.terms():
+        fold += c.abs_sq() * r ** (2 * e + 2) / (e + 1)
+    assert norm_sq(f, Disc(r)) == PiRational(fold)
+    assert norm_sq(f, Disc(r)) == inner_product(f, f, Disc(r))
+
+
 def test_complex_inner_product_conjugates_second_argument():
     f = SparseSeries({2: GaussianRational(Fraction(0), Fraction(1))})  # i z^2
     g = SparseSeries({2: 1})
