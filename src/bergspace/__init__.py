@@ -43,18 +43,13 @@ from .fta import (
 )
 from .primes import (
     BertrandWitness,
-    Classification,
     PrimePartition,
-    PrimeSet,
     bertrand_witness,
-    classify,
     euler_product_smooth,
     make_partition,
-    prime_factors,
     prime_norm_partial,
     prime_series,
     rough_numbers,
-    sieve,
     smooth_numbers,
     tail_sum,
     twin_prime_norm_partial,

@@ -278,10 +278,6 @@ def _cmd_primes_euler(args, cfg: RunConfig) -> str:
     return emit(report, cfg)
 
 
-def _series_listing(series: SparseSeries) -> list:
-    return [[e, c.to_json()] for e, c in series.terms()]
-
-
 def _cmd_decompose_geometric(args, cfg: RunConfig) -> str:
     report = decomposition.geometric_partition(args.pk, args.degree)
     out: dict = {
@@ -292,7 +288,7 @@ def _cmd_decompose_geometric(args, cfg: RunConfig) -> str:
     }
     if args.degree <= FULL_LISTING_MAX_DEGREE:
         out["blocks"] = [
-            {"label": b.label, "terms": _series_listing(b.series)} for b in report.blocks
+            {"label": b.label, "terms": b.series.to_json()["terms"]} for b in report.blocks
         ]
     else:
         out["block_summary"] = [
@@ -314,8 +310,8 @@ def _cmd_decompose_rough(args, cfg: RunConfig) -> str:
         "h_norms": [[l, n.to_json()["pi_coeff"]] for l, n in report.h_norms],
     }
     if args.degree <= FULL_LISTING_MAX_DEGREE:
-        out["q_block"] = _series_listing(report.q_block)
-        out["g_blocks"] = [[l, _series_listing(g)] for l, g in report.g_blocks]
+        out["q_block"] = report.q_block.to_json()["terms"]
+        out["g_blocks"] = [[l, g.to_json()["terms"]] for l, g in report.g_blocks]
     else:
         out["g_block_sizes"] = [[l, len(g)] for l, g in report.g_blocks]
     return emit(out, cfg)
@@ -502,7 +498,7 @@ def dispatch(argv: list[str]) -> int:
     except TailNotSmall as exc:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return 3
-    except (BergspaceError, ValueError) as exc:
+    except (BergspaceError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

@@ -21,7 +21,7 @@ class DegreeTooSmall(BergspaceError):
 
 
 class OutOfRange(BergspaceError):
-    """Integer argument outside the operation's domain (e.g. classify(n) with n < 2)."""
+    """Integer argument outside the operation's domain (e.g. a Bertrand index n < 1)."""
 
 
 class NearZeroDetected(BergspaceError):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DegreeTooSmall, NearZeroDetected, ZeroConstantTerm
-from .rational import GaussianLike, GaussianRational
+from .rational import GaussianRational
 from .series import SparseSeries
 
 if TYPE_CHECKING:
@@ -51,6 +51,8 @@ __all__ = [
     "reciprocal_taylor",
     "root_disc_certificate",
 ]
+
+MIN_RADIUS_FRACTION = 1e-6
 
 BOUND_COMMENT = (
     "certified by an area-integral argument; classical coefficient bounds "
@@ -108,9 +110,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * z + complex(c)
         return acc
-
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def annulus_l2_bound(poly: Polynomial, r0: Fraction) -> float:
 class QuadratureGrid:
     """Midpoint rule on a polar grid.
 
-    Radial cells are geometrically graded from radius*min_radius_fraction
+    Radial cells are geometrically graded from radius*MIN_RADIUS_FRACTION
     up to the full radius (plus one innermost cell touching 0), so that a
     single grid resolves integrand structure across many scales; angles are
     uniform. Both dimensions must be at least 8.
@@ -208,13 +207,10 @@ class QuadratureGrid:
 
     n_r: int = 512
     n_theta: int = 512
-    min_radius_fraction: float = 1e-6
 
     def __post_init__(self):
         if self.n_r < 8 or self.n_theta < 8:
             raise ValueError(f"grid dimensions must be >= 8, got {self.n_r}x{self.n_theta}")
-        if not 0.0 < self.min_radius_fraction < 1.0:
-            raise ValueError("min_radius_fraction must lie in (0, 1)")
 
     def spec_string(self) -> str:
         return f"{self.n_r}x{self.n_theta}"
@@ -224,7 +220,7 @@ class QuadratureGrid:
         import numpy as np
 
         exponents = (self.n_r - np.arange(1, self.n_r + 1)) / (self.n_r - 1)
-        edges = np.concatenate(([0.0], radius * self.min_radius_fraction**exponents))
+        edges = np.concatenate(([0.0], radius * MIN_RADIUS_FRACTION**exponents))
         return (edges[:-1] + edges[1:]) / 2.0, np.diff(edges)
 
 

@@ -1,5 +1,5 @@
 """Prime sieving, prime power series and their exact partial Bergman norms,
-smooth/rough integer classification, and the Euler product over small primes.
+smooth and rough number lists, and the Euler product over small primes.
 
 The series studied here have 0/1 coefficients supported on primes (or twin
 primes), so on the unit disc every partial norm is an exact rational sum
@@ -8,7 +8,6 @@ of terms 1/(p+1), scaled by pi.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -22,30 +21,17 @@ from .series import SparseSeries
 
 __all__ = [
     "BertrandWitness",
-    "Classification",
     "PrimePartition",
-    "PrimeSet",
     "bertrand_witness",
-    "classify",
     "euler_product_smooth",
     "make_partition",
-    "prime_factors",
     "prime_norm_partial",
     "prime_series",
     "rough_numbers",
-    "sieve",
     "smooth_numbers",
     "tail_sum",
     "twin_prime_norm_partial",
 ]
-
-
-@dataclass(frozen=True)
-class PrimeSet:
-    """All primes up to ``limit``, sorted."""
-
-    limit: int
-    primes: tuple[int, ...]
 
 
 def _sieve_list(limit: int) -> list[int]:
@@ -63,13 +49,6 @@ def _sieve_list(limit: int) -> list[int]:
             start = p * p // 2
             flags[start::p] = bytes(len(range(start, n, p)))
     return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
-
-
-def sieve(limit: int) -> PrimeSet:
-    """Sieve of Eratosthenes up to ``limit`` inclusive."""
-    if limit < 0:
-        raise OutOfRange(f"sieve limit must be >= 0, got {limit}")
-    return PrimeSet(limit, tuple(_primes_up_to(limit)))
 
 
 # In-memory sieve shared by every query in this process: (limit, primes
@@ -192,41 +171,6 @@ def make_partition(pk: int, p2_limit: int) -> PrimePartition:
     p1 = tuple(primes[:split])
     p2 = tuple(primes[split : bisect_right(primes, p2_limit)])
     return PrimePartition(pk, p1, p2_limit, p2)
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n >= 2, by trial division."""
-    if n < 2:
-        raise OutOfRange(f"prime factorization needs n >= 2, got {n}")
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append(n)
-    return tuple(factors)
-
-
-class Classification(enum.Enum):
-    SMOOTH = "smooth"
-    ROUGH = "rough"
-    MIXED = "mixed"
-
-
-def classify(n: int, part: PrimePartition) -> Classification:
-    """Smooth iff every prime factor is < pk, rough iff every one is >= pk."""
-    if n < 2:
-        raise OutOfRange(f"classification needs n >= 2, got {n}")
-    factors = prime_factors(n)
-    if factors[-1] < part.pk:
-        return Classification.SMOOTH
-    if factors[0] >= part.pk:
-        return Classification.ROUGH
-    return Classification.MIXED
 
 
 def smooth_numbers(part: PrimePartition, limit: int) -> list[int]:

@@ -166,7 +166,6 @@ class GaussianRational:
         return GaussianRational(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
-GAUSSIAN_ZERO = GaussianRational()
 GAUSSIAN_ONE = GaussianRational(Fraction(1))
 
 
@@ -261,5 +260,3 @@ class PiRational:
             return PiRational(Fraction(num, den))
         return PiRational(Fraction(num, den), Fraction(im[0], im[1]))
 
-
-PI_ZERO = PiRational()

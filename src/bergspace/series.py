@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .rational import (
     GAUSSIAN_ONE,
     GaussianLike,
     GaussianRational,
     PiRational,
-    RationalLike,
     _sum_ratios,
     sum_fractions,
 )
@@ -104,10 +103,6 @@ class SparseSeries:
     @staticmethod
     def monomial(exponent: int, coefficient: GaussianLike = 1) -> SparseSeries:
         return SparseSeries({exponent: coefficient})
-
-    @staticmethod
-    def one() -> SparseSeries:
-        return SparseSeries.monomial(0)
 
     @staticmethod
     def geometric(degree: int) -> SparseSeries:
@@ -248,7 +243,6 @@ def disjoint_support(f: SparseSeries, g: SparseSeries) -> bool:
 def inner_product(f: SparseSeries, g: SparseSeries, disc: Disc = UNIT_DISC) -> PiRational:
     """<f, g> on the disc: pi * sum R^(2n+2) f_n conj(g_n) / (n+1), exact."""
     radius = disc.radius
-    unit = radius == 1
     re_terms: list[Fraction] = []
     im_terms: list[Fraction] = []
     for e, fc in f._coeffs.items():
@@ -256,7 +250,7 @@ def inner_product(f: SparseSeries, g: SparseSeries, disc: Disc = UNIT_DISC) -> P
         if gc is None:
             continue
         prod = fc * gc.conjugate()
-        weight = Fraction(1, e + 1) if unit else radius ** (2 * e + 2) / (e + 1)
+        weight = radius ** (2 * e + 2) / (e + 1)
         if prod.re:
             re_terms.append(prod.re * weight)
         if prod.im:

@@ -124,6 +124,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the exact norm is fine; its float rendering overflows
+        ("norm", "--series", "1@0", "--radius", "1e400"),
+        # the quadrature's complex(c) overflows
+        ("fta-cert", "--poly", "1,0,1e400", "--grid", "16x16"),
+    ],
+)
+def test_float_overflow_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:")
+
+
 def test_decompose_tail_emits_large_exact_rationals(capsys):
     # desk-scale tail sums exceed 4300 digits; the report must still be
     # exact JSON integers and reparse to the library's own values

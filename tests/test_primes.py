@@ -9,16 +9,12 @@ from bergspace import UNIT_DISC, norm_sq
 from bergspace import primes
 from bergspace.errors import OutOfRange
 from bergspace.primes import (
-    Classification,
     bertrand_witness,
-    classify,
     euler_product_smooth,
     make_partition,
-    prime_factors,
     prime_norm_partial,
     prime_series,
     rough_numbers,
-    sieve,
     smooth_numbers,
     tail_sum,
     twin_prime_norm_partial,
@@ -33,23 +29,23 @@ def pi_frac(num, den=1):
 
 
 def test_sieve_examples():
-    assert sieve(1).primes == ()
-    assert sieve(0).primes == ()
-    assert sieve(10).primes == (2, 3, 5, 7)
+    assert primes._primes_up_to(1) == []
+    assert primes._primes_up_to(0) == []
+    assert primes._primes_up_to(10) == [2, 3, 5, 7]
 
 
 def test_sieve_against_trial_division():
-    got = sieve(10_000).primes
+    got = primes._primes_up_to(10_000)
     assert len(got) == 1229
-    expected = tuple(n for n in range(2, 10_001) if oracle_is_prime(n))
+    expected = [n for n in range(2, 10_001) if oracle_is_prime(n)]
     assert got == expected
 
 
 def test_sieve_list_small_limits_and_prime_squares():
     # the odd-only sieve starts marking at p^2; limits next to a square
     # catch an off-by-one in the start index or in the outer loop bound.
-    # sieve() reads through a cache that rounds limits up, so call the
-    # sieve itself.
+    # _primes_up_to reads through a cache that rounds limits up, so call
+    # the sieve itself.
     oracle = [n for n in range(2, 317 * 317 + 2) if oracle_is_prime(n)]
     square_limits = [
         p * p + d for p in range(2, 318) if oracle_is_prime(p) for d in (-1, 0, 1)
@@ -76,40 +72,20 @@ def test_prime_norm_agrees_with_series_norm(limit):
     assert prime_norm_partial(limit) == norm_sq(prime_series(limit), UNIT_DISC)
 
 
-def test_prime_factors_matches_oracle():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(2, 100_000)
-        assert list(prime_factors(n)) == oracle_prime_factors(n)
-    with pytest.raises(OutOfRange):
-        prime_factors(1)
-
-
-def test_classify_examples():
-    assert classify(8, make_partition(3, 10)) == Classification.SMOOTH
-    assert classify(15, make_partition(3, 20)) == Classification.ROUGH
-    assert classify(12, make_partition(5, 20)) == Classification.SMOOTH
-    assert classify(10, make_partition(5, 20)) == Classification.MIXED
-    with pytest.raises(OutOfRange):
-        classify(1, make_partition(3, 10))
-
-
 def test_partition_totality_and_unique_factorization():
-    # every n in [2, 10^4] splits uniquely into a smooth part (all factors
-    # below pk) times a rough part (all factors >= pk), for each cutoff;
-    # classify must agree with that split
+    # every n in [2, 10^4] is smooth (all factors below pk), rough (all
+    # factors >= pk) or neither, for each cutoff, and the two lists agree
+    # with that split; each n then splits uniquely into a smooth part times
+    # a rough part
     cutoffs = (2, 3, 5, 7, 11)
     parts = {pk: make_partition(pk, 10_000) for pk in cutoffs}
-    for n in range(2, 10_001):
-        factors = prime_factors(n)
-        for pk in cutoffs:
-            label = classify(n, parts[pk])
-            if factors[-1] < pk:
-                assert label == Classification.SMOOTH
-            elif factors[0] >= pk:
-                assert label == Classification.ROUGH
-            else:
-                assert label == Classification.MIXED
+    factors = {n: oracle_prime_factors(n) for n in range(2, 10_001)}
+    for pk in cutoffs:
+        smooth = set(smooth_numbers(parts[pk], 10_000))
+        rough = set(rough_numbers(parts[pk], 10_000))
+        for n, fs in factors.items():
+            assert (n in smooth) == (fs[-1] < pk)
+            assert (n in rough) == (fs[0] >= pk)
     # uniqueness witnessed by divisor enumeration at small scale
     for pk in cutoffs:
         for n in range(2, 401):
@@ -123,8 +99,8 @@ def test_partition_totality_and_unique_factorization():
                 d
                 for d in range(1, n + 1)
                 if n % d == 0
-                and all(q < pk for q in (prime_factors(d) if d > 1 else ()))
-                and all(q >= pk for q in (prime_factors(n // d) if n // d > 1 else ()))
+                and all(q < pk for q in (oracle_prime_factors(d) if d > 1 else ()))
+                and all(q >= pk for q in (oracle_prime_factors(n // d) if n // d > 1 else ()))
             ]
             assert splits == [smooth_part]
 
