@@ -10,21 +10,18 @@ Usage examples:
     bergspace norm --series "1@0,1@1" --radius 1
     bergspace inner --f "1@2" --g "1@2,1/2@3" --radius 1/2
     bergspace fta-cert --poly "6,-5,1" --grid 256x256
-    bergspace primes norm --limit 100
+    bergspace primes norm --limit 10000
     bergspace primes bertrand --n 42
     bergspace primes twins --limit 10000
     bergspace primes euler --pk 7
     bergspace decompose geometric --pk 3 --degree 8
-    bergspace decompose rough --pk 3 --degree 25
-    bergspace decompose tail --pk 11 --p2-limit 10000 --terms 10000
+    bergspace decompose rough --pk 3 --degree 100
+    bergspace decompose tail --pk 29 --p2-limit 10000
     bergspace sweep primes-norm --range 10..100000 --points 5
     bergspace sweep bertrand --range 1..100
 
 Exact coefficients survive the shell as "num/den" tokens: series terms are
-"coeff@exponent" comma lists, complex coefficients "1/2+3/4i". Defaults can
-come from a config file of "key = value" lines (--config) or environment
-variables prefixed BERGSPACE_ (GRID, OUTPUT_FORMAT, FLOAT_DIGITS); flags
-win over both.
+"coeff@exponent" comma lists, complex coefficients "1/2+3/4i".
 """
 
 from __future__ import annotations
@@ -33,11 +30,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 
 from . import decomposition, fta, primes
 from .errors import BergspaceError, TailNotSmall
@@ -45,7 +39,6 @@ from .fta import Polynomial, QuadratureGrid
 from .rational import GaussianRational, PiRational
 from .series import Disc, SparseSeries, inner_product, norm_sq
 
-ENV_PREFIX = "BERGSPACE_"
 FULL_LISTING_MAX_DEGREE = 128
 
 
@@ -135,60 +128,6 @@ def parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad range {text!r}, expected START..STOP") from None
 
 
-# -- configuration -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    default_grid: QuadratureGrid = QuadratureGrid()
-    output_format: str = "json"
-    float_digits: int = 15
-
-    def __post_init__(self):
-        if not 1 <= self.float_digits <= 30:
-            raise UsageError(f"float_digits must be in [1, 30], got {self.float_digits}")
-        if self.output_format not in ("json", "csv"):
-            raise UsageError(f"output_format must be json or csv, got {self.output_format!r}")
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip().lower()] = value.strip()
-    return values
-
-
-def load_config(config_path: str | None, env: dict[str, str]) -> RunConfig:
-    values: dict[str, str] = {}
-    if config_path:
-        values.update(_read_config_file(config_path))
-    for key in ("grid", "output_format", "float_digits"):
-        env_value = env.get(ENV_PREFIX + key.upper())
-        if env_value is not None:
-            values[key] = env_value
-    cfg = RunConfig()
-    if "grid" in values:
-        cfg = replace(cfg, default_grid=parse_grid(values["grid"]))
-    if "output_format" in values:
-        cfg = replace(cfg, output_format=values["output_format"].lower())
-    if "float_digits" in values:
-        try:
-            cfg = replace(cfg, float_digits=int(values["float_digits"]))
-        except ValueError:
-            raise UsageError(f"bad float_digits {values['float_digits']!r}") from None
-    return cfg
-
-
 # -- rendering ---------------------------------------------------------------
 
 
@@ -217,8 +156,8 @@ def _flatten(prefix: str, value, row: dict) -> None:
         row[prefix] = value
 
 
-def emit(report: dict, cfg: RunConfig) -> str:
-    if cfg.output_format == "csv":
+def emit(report: dict, fmt: str) -> str:
+    if fmt == "csv":
         row: dict = {}
         _flatten("", report, row)
         buf = io.StringIO()
@@ -232,53 +171,51 @@ def emit(report: dict, cfg: RunConfig) -> str:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_norm(args, cfg: RunConfig) -> str:
+def _cmd_norm(args, fmt: str, digits: int) -> str:
     series = parse_series(args.series)
     value = norm_sq(series, Disc(parse_rational(args.radius)))
-    return emit(pi_report(value, cfg.float_digits), cfg)
+    return emit(pi_report(value, digits), fmt)
 
 
-def _cmd_inner(args, cfg: RunConfig) -> str:
+def _cmd_inner(args, fmt: str, digits: int) -> str:
     f = parse_series(args.f)
     g = parse_series(args.g)
     value = inner_product(f, g, Disc(parse_rational(args.radius)))
-    return emit(pi_report(value, cfg.float_digits), cfg)
+    return emit(pi_report(value, digits), fmt)
 
 
-def _cmd_fta_cert(args, cfg: RunConfig) -> str:
+def _cmd_fta_cert(args, fmt: str, digits: int) -> str:
     poly = parse_poly(args.poly)
-    grid = parse_grid(args.grid) if args.grid else cfg.default_grid
+    grid = parse_grid(args.grid) if args.grid else QuadratureGrid()
     report = fta.root_disc_certificate(poly, grid)
-    return emit(report.to_json(), cfg)
+    return emit(report.to_json(), fmt)
 
 
-def _cmd_primes_norm(args, cfg: RunConfig) -> str:
-    return emit(pi_report(primes.prime_norm_partial(args.limit), cfg.float_digits), cfg)
+def _cmd_primes_norm(args, fmt: str, digits: int) -> str:
+    twins = args.primes_command == "twins"
+    compute = primes.twin_prime_norm_partial if twins else primes.prime_norm_partial
+    return emit(pi_report(compute(args.limit), digits), fmt)
 
 
-def _cmd_primes_twins(args, cfg: RunConfig) -> str:
-    return emit(pi_report(primes.twin_prime_norm_partial(args.limit), cfg.float_digits), cfg)
-
-
-def _cmd_primes_bertrand(args, cfg: RunConfig) -> str:
+def _cmd_primes_bertrand(args, fmt: str, digits: int) -> str:
     witness = primes.bertrand_witness(args.n)
-    report = {"n": args.n, **pi_report(witness.value, cfg.float_digits)}
+    report = {"n": args.n, **pi_report(witness.value, digits)}
     report["prime_found"] = witness.prime_found
-    return emit(report, cfg)
+    return emit(report, fmt)
 
 
-def _cmd_primes_euler(args, cfg: RunConfig) -> str:
+def _cmd_primes_euler(args, fmt: str, digits: int) -> str:
     part = primes.make_partition(args.pk, max(args.pk - 1, 0))
     product = primes.euler_product_smooth(part)
     report = {
         "pk": args.pk,
         "product": fraction_json(product),
-        "float": render_float(float(product), cfg.float_digits),
+        "float": render_float(float(product), digits),
     }
-    return emit(report, cfg)
+    return emit(report, fmt)
 
 
-def _cmd_decompose_geometric(args, cfg: RunConfig) -> str:
+def _cmd_decompose_geometric(args, fmt: str, digits: int) -> str:
     report = decomposition.geometric_partition(args.pk, args.degree)
     out: dict = {
         "pk": report.pk,
@@ -294,10 +231,10 @@ def _cmd_decompose_geometric(args, cfg: RunConfig) -> str:
         out["block_summary"] = [
             {"label": b.label, "size": len(b.series)} for b in report.blocks
         ]
-    return emit(out, cfg)
+    return emit(out, fmt)
 
 
-def _cmd_decompose_rough(args, cfg: RunConfig) -> str:
+def _cmd_decompose_rough(args, fmt: str, digits: int) -> str:
     p2_limit = args.p2_limit if args.p2_limit is not None else args.degree
     report = decomposition.rough_dedup(args.pk, args.degree, p2_limit)
     out: dict = {
@@ -314,10 +251,10 @@ def _cmd_decompose_rough(args, cfg: RunConfig) -> str:
         out["g_blocks"] = [[l, g.to_json()["terms"]] for l, g in report.g_blocks]
     else:
         out["g_block_sizes"] = [[l, len(g)] for l, g in report.g_blocks]
-    return emit(out, cfg)
+    return emit(out, fmt)
 
 
-def _cmd_decompose_tail(args, cfg: RunConfig) -> str:
+def _cmd_decompose_tail(args, fmt: str, digits: int) -> str:
     part = primes.make_partition(args.pk, args.p2_limit)
     terms = args.terms if args.terms is not None else args.p2_limit
     bound = decomposition.rough_tail_geometric_bound(part, terms)
@@ -326,20 +263,22 @@ def _cmd_decompose_tail(args, cfg: RunConfig) -> str:
         "p2_limit": args.p2_limit,
         "terms": bound.terms,
         "tail": fraction_json(bound.tail),
-        "tail_float": render_float(float(bound.tail), cfg.float_digits),
+        "tail_float": render_float(float(bound.tail), digits),
         "geometric_bound": fraction_json(bound.geometric_bound),
         "partial_sum": fraction_json(bound.partial_sum),
         "holds": bound.holds,
     }
-    return emit(out, cfg)
+    return emit(out, fmt)
 
 
 def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
+    if points is not None and points < 1:
+        raise UsageError(f"--points must be >= 1, got {points}")
     if lo > hi:
         return []
     if points is None:
         return list(range(lo, hi + 1))
-    if points <= 1:
+    if points == 1:
         return [lo]
     ratio = hi / lo if lo > 0 else 0
     values = []
@@ -351,7 +290,7 @@ def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
     return sorted(set(values))
 
 
-def _cmd_sweep(args, cfg: RunConfig) -> str:
+def _cmd_sweep(args, fmt: str, digits: int) -> str:
     lo, hi = parse_range(args.range)
     values = _log_spaced(lo, hi, args.points)
     buf = io.StringIO()
@@ -368,7 +307,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> str:
                     n,
                     q.numerator,
                     q.denominator,
-                    render_float(float(witness.value), cfg.float_digits),
+                    render_float(float(witness.value), digits),
                     witness.prime_found,
                 ]
             )
@@ -384,7 +323,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> str:
         value = compute(limit)
         q = value.coefficient
         writer.writerow(
-            [limit, q.numerator, q.denominator, render_float(float(value), cfg.float_digits)]
+            [limit, q.numerator, q.denominator, render_float(float(value), digits)]
         )
     return buf.getvalue()
 
@@ -401,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared flags use SUPPRESS so a leaf parser's default never clobbers a
     # value parsed before the subcommand; dispatch reads them via getattr.
     common = _Parser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS, help="config file of key = value lines")
     common.add_argument(
         "--format", choices=["json", "csv"], default=argparse.SUPPRESS, help="report format"
     )
@@ -443,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_primes_norm)
     q = psub.add_parser("twins", parents=[common], help="pi * sum 1/(p+1) over twin primes <= limit")
     q.add_argument("--limit", type=int, required=True)
-    q.set_defaults(handler=_cmd_primes_twins)
+    q.set_defaults(handler=_cmd_primes_norm)
     q = psub.add_parser("bertrand", parents=[common], help="exact witness for a prime in (N, 2N]")
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(handler=_cmd_primes_bertrand)
@@ -484,14 +422,10 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(getattr(args, "config", None), dict(os.environ))
-        fmt = getattr(args, "format", None)
-        if fmt:
-            cfg = replace(cfg, output_format=fmt)
-        digits = getattr(args, "float_digits", None)
-        if digits is not None:
-            cfg = replace(cfg, float_digits=digits)
-        output = args.handler(args, cfg)
+        digits = getattr(args, "float_digits", 15)
+        if not 1 <= digits <= 30:
+            raise UsageError(f"float_digits must be in [1, 30], got {digits}")
+        output = args.handler(args, getattr(args, "format", "json"), digits)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

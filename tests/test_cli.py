@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from bergspace import cli
 from bergspace.cli import (
-    RunConfig,
     UsageError,
     dispatch,
-    load_config,
     parse_coefficient,
     parse_grid,
     parse_range,
@@ -19,6 +19,7 @@ from bergspace.cli import (
 )
 from bergspace.rational import GaussianRational, PiRational
 from bergspace.series import SparseSeries
+from conftest import oracle_is_prime, oracle_prime_factors
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,34 @@ def test_norm_series_report(capsys):
     assert json.loads(out)["pi_coeff"] == [3, 2]
 
 
+def test_inner_report(capsys):
+    code, out, _ = run_cli(capsys, "inner", "--f", "1@2", "--g", "1@2,1/2@3", "--radius", "1/2")
+    assert code == 0
+    assert json.loads(out)["pi_coeff"] == [1, 192]
+
+
+def test_primes_euler_report(capsys):
+    code, out, _ = run_cli(capsys, "primes", "euler", "--pk", "7")
+    assert code == 0
+    assert json.loads(out)["product"] == [15, 4]
+
+
+def test_primes_bertrand_and_twins_reports(capsys):
+    def pi_coeff(primes):
+        q = sum((Fraction(1, p + 1) for p in primes), Fraction(0))
+        return [q.numerator, q.denominator]
+
+    code, out, _ = run_cli(capsys, "primes", "bertrand", "--n", "42")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pi_coeff"] == pi_coeff(p for p in range(43, 85) if oracle_is_prime(p))
+    assert (data["n"], data["prime_found"]) == (42, True)
+    code, out, _ = run_cli(capsys, "primes", "twins", "--limit", "100")
+    assert code == 0
+    twins = (p for p in range(2, 101) if oracle_is_prime(p) and oracle_is_prime(p + 2))
+    assert json.loads(out)["pi_coeff"] == pi_coeff(twins)
+
+
 def test_decompose_geometric_report(capsys):
     code, out, _ = run_cli(capsys, "decompose", "geometric", "--pk", "3", "--degree", "8")
     assert code == 0
@@ -96,6 +125,21 @@ def test_decompose_geometric_report(capsys):
     assert data["coverage"] == "exact"
     labels = [b["label"] for b in data["blocks"]]
     assert labels[:3] == ["1", "z", "F(z)"]
+
+
+def test_decompose_reports_past_the_full_listing(capsys):
+    # above FULL_LISTING_MAX_DEGREE the reports give block sizes, not terms
+    code, out, _ = run_cli(capsys, "decompose", "geometric", "--pk", "3", "--degree", "200")
+    assert code == 0
+    data = json.loads(out)
+    assert "blocks" not in data
+    assert sum(b["size"] for b in data["block_summary"]) == 201
+    code, out, _ = run_cli(capsys, "decompose", "rough", "--pk", "5", "--degree", "300")
+    assert code == 0
+    data = json.loads(out)
+    assert "g_blocks" not in data
+    rough = [n for n in range(2, 301) if min(oracle_prime_factors(n)) >= 5]
+    assert data["q_size"] + sum(size for _, size in data["g_block_sizes"]) == len(rough)
 
 
 def test_decompose_rough_report(capsys):
@@ -116,12 +160,19 @@ def test_fta_cert_report(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, "norm", "--series", "oops")
-    assert code == 2
-    assert not out
-    assert err.startswith("error:")
-    code, _, err = run_cli(capsys, "primes", "norm", "--limit", "not-a-number")
-    assert code == 2
+    for argv in (
+        ("norm", "--series", "oops"),
+        ("primes", "norm", "--limit", "not-a-number"),
+        ("--float-digits", "0", "primes", "norm", "--limit", "10"),
+        ("primes", "norm", "--limit", "10", "--float-digits", "31"),
+        ("--format", "xml", "primes", "norm", "--limit", "10"),
+        ("sweep", "primes-norm", "--range", "10..100", "--points", "0"),
+        ("sweep", "primes-norm", "--range", "10..100", "--points", "-3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert not out
+        assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -183,6 +234,9 @@ def test_sweep_primes_norm_monotone(capsys):
     assert len(lines) == 4
     floats = [float(line.split(",")[3]) for line in lines[1:]]
     assert floats == sorted(floats)
+    code, out, _ = run_cli(capsys, "sweep", "primes-norm", "--range", "10..1000", "--points", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == [lines[1]]
 
 
 def test_sweep_bertrand_all_true(capsys):
@@ -222,6 +276,11 @@ def test_float_rendering_is_presentation_only(capsys):
     assert a["pi_coeff"] == b["pi_coeff"]
     a.pop("float"), b.pop("float")
     assert a == b
+    # the shared flags read the same before and after the subcommand
+    _, before, _ = run_cli(capsys, "--float-digits", "2", "primes", "norm", "--limit", "10")
+    _, after, _ = run_cli(capsys, "primes", "norm", "--limit", "10", "--float-digits", "2")
+    assert before == after
+    assert json.loads(before)["float"] == 2.7
 
 
 def test_csv_format_flag(capsys):
@@ -232,43 +291,31 @@ def test_csv_format_flag(capsys):
     assert row.startswith('"[7, 8]"')
 
 
-# -- configuration ----------------------------------------------------------------
+# -- settings come from flags only -------------------------------------------
 
 
-def test_config_file_and_env_precedence(tmp_path, monkeypatch, capsys):
-    config = tmp_path / "bergspace.conf"
-    # sieve_cache_path is a retired key: old files that set it still load
-    config.write_text(
-        "float_digits = 3\noutput_format = json  # comment\nsieve_cache_path = primes.txt\n"
-    )
-    cfg = load_config(str(config), {})
-    assert cfg.float_digits == 3
-    cfg = load_config(str(config), {"BERGSPACE_FLOAT_DIGITS": "5"})
-    assert cfg.float_digits == 5
-    # flag beats both
-    monkeypatch.setenv("BERGSPACE_FLOAT_DIGITS", "5")
-    code, out, _ = run_cli(
-        capsys,
-        "primes",
-        "norm",
-        "--limit",
-        "10",
-        "--config",
-        str(config),
-        "--float-digits",
-        "2",
-    )
+def test_config_file_and_environment_are_not_read(monkeypatch, capsys):
+    code, out, err = run_cli(capsys, "--config", "x", "primes", "norm", "--limit", "10")
+    assert code == 2
+    assert not out
+    assert err.startswith("error:")
+    monkeypatch.setenv("BERGSPACE_FLOAT_DIGITS", "3")
+    code, out, _ = run_cli(capsys, "primes", "norm", "--limit", "10")
     assert code == 0
-    assert json.loads(out)["float"] == 2.7
+    assert json.loads(out)["float"] == 2.74889357189107
 
 
-def test_config_validation():
-    with pytest.raises(UsageError):
-        RunConfig(float_digits=0)
-    with pytest.raises(UsageError):
-        RunConfig(output_format="xml")
-    with pytest.raises(UsageError):
-        load_config(None, {"BERGSPACE_FLOAT_DIGITS": "40"})
+def test_docstring_examples_are_the_readme_commands(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n")[1]
+    commands = [line for line in block.splitlines() if line.strip()]
+    examples = [
+        line.strip() for line in cli.__doc__.splitlines() if line.strip().startswith("bergspace ")
+    ]
+    assert commands and examples == commands
+    for command in commands:
+        code, _, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, (command, err)
 
 
 # -- start-up path -----------------------------------------------------------

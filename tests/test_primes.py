@@ -183,6 +183,17 @@ def test_bertrand_witness_matches_direct_window_sum():
         assert witness.prime_found == (direct != 0)
 
 
+@pytest.mark.parametrize("n", [32767, 32768, 40000])
+def test_bertrand_witness_past_the_prefix_cap(n):
+    # 2n = 65534 is the last window end the prefix tables serve (level 2^16);
+    # from n = 32768 on the window is summed directly over the sieve
+    direct = sum(
+        (Fraction(1, p + 1) for p in range(n + 1, 2 * n + 1) if oracle_is_prime(p)),
+        Fraction(0),
+    )
+    assert bertrand_witness(n) == (PiRational(direct), True)
+
+
 def test_twin_prime_norm_examples():
     assert twin_prime_norm_partial(4) == pi_frac(1, 4)
     assert twin_prime_norm_partial(7) == pi_frac(5, 12)
