@@ -21,7 +21,6 @@ from .decomposition import (
 )
 from .errors import (
     BergspaceError,
-    CoverageGap,
     DegreeTooSmall,
     NearZeroDetected,
     OutOfRange,

@@ -57,7 +57,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_coefficient(text: str) -> GaussianRational:
-    """Gaussian rational: "2", "-3/4", "2i", "1/2+3/4i", "1/2-3/4i", "i"."""
+    """Gaussian rational: "2", "-3/4", "2i", "1/2+3/4i", "1/2-3/4i", "i", "1e-5i"."""
     s = text.replace(" ", "")
     if not s:
         raise UsageError("empty coefficient")
@@ -66,7 +66,7 @@ def parse_coefficient(text: str) -> GaussianRational:
     body = s[:-1]
     split = 0
     for idx in range(len(body) - 1, 0, -1):
-        if body[idx] in "+-" and body[idx - 1] not in "+-/":
+        if body[idx] in "+-" and body[idx - 1] not in "+-/eE":
             split = idx
             break
     real, imag = body[:split], body[split:]
@@ -191,16 +191,22 @@ def _cmd_fta_cert(args, fmt: str, digits: int) -> str:
     return emit(report.to_json(), fmt)
 
 
-def _cmd_primes_norm(args, fmt: str, digits: int) -> str:
-    twins = args.primes_command == "twins"
-    compute = primes.twin_prime_norm_partial if twins else primes.prime_norm_partial
-    return emit(pi_report(compute(args.limit), digits), fmt)
+def _prime_sum(kind: str, n: int) -> PiRational:
+    """The exact prime sum a ``primes`` command or sweep target names."""
+    # looked up per call, so wrappers installed on primes.* see every call
+    if kind == "bertrand":
+        return primes.bertrand_witness(n).value
+    if kind == "twins":
+        return primes.twin_prime_norm_partial(n)
+    return primes.prime_norm_partial(n)
 
 
-def _cmd_primes_bertrand(args, fmt: str, digits: int) -> str:
-    witness = primes.bertrand_witness(args.n)
-    report = {"n": args.n, **pi_report(witness.value, digits)}
-    report["prime_found"] = witness.prime_found
+def _cmd_primes_sum(args, fmt: str, digits: int) -> str:
+    kind = args.primes_command
+    if kind != "bertrand":
+        return emit(pi_report(_prime_sum(kind, args.limit), digits), fmt)
+    value = _prime_sum(kind, args.n)
+    report = {"n": args.n, **pi_report(value, digits), "prime_found": not value.is_zero}
     return emit(report, fmt)
 
 
@@ -235,8 +241,7 @@ def _cmd_decompose_geometric(args, fmt: str, digits: int) -> str:
 
 
 def _cmd_decompose_rough(args, fmt: str, digits: int) -> str:
-    p2_limit = args.p2_limit if args.p2_limit is not None else args.degree
-    report = decomposition.rough_dedup(args.pk, args.degree, p2_limit)
+    report = decomposition.rough_dedup(args.pk, args.degree, args.degree)
     out: dict = {
         "pk": report.pk,
         "degree": report.degree,
@@ -291,40 +296,18 @@ def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
 
 
 def _cmd_sweep(args, fmt: str, digits: int) -> str:
+    if getattr(args, "format", "csv") != "csv":
+        raise UsageError("sweeps write CSV only; --format json applies to reports")
     lo, hi = parse_range(args.range)
-    values = _log_spaced(lo, hi, args.points)
+    bertrand = args.target == "bertrand"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if args.target == "bertrand":
-        writer.writerow(["parameter", "numerator", "denominator", "float", "prime_found"])
-        for n in values:
-            if n < 1:
-                raise UsageError(f"bertrand sweep needs parameters >= 1, got {n}")
-            witness = primes.bertrand_witness(n)
-            q = witness.value.coefficient
-            writer.writerow(
-                [
-                    n,
-                    q.numerator,
-                    q.denominator,
-                    render_float(float(witness.value), digits),
-                    witness.prime_found,
-                ]
-            )
-        return buf.getvalue()
-    compute = {
-        "primes-norm": primes.prime_norm_partial,
-        "twins": primes.twin_prime_norm_partial,
-    }[args.target]
-    writer.writerow(["parameter", "numerator", "denominator", "float"])
-    for limit in values:
-        if limit < 0:
-            raise UsageError(f"sweep needs parameters >= 0, got {limit}")
-        value = compute(limit)
+    writer.writerow(["parameter", "numerator", "denominator", "float"] + ["prime_found"] * bertrand)
+    for n in _log_spaced(lo, hi, args.points):
+        value = _prime_sum(args.target, n)
         q = value.coefficient
-        writer.writerow(
-            [limit, q.numerator, q.denominator, render_float(float(value), digits)]
-        )
+        row = [n, q.numerator, q.denominator, render_float(float(value), digits)]
+        writer.writerow(row + [not value.is_zero] * bertrand)
     return buf.getvalue()
 
 
@@ -378,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="primes_command", required=True)
     q = psub.add_parser("norm", parents=[common], help="pi * sum 1/(p+1) over primes <= limit")
     q.add_argument("--limit", type=int, required=True)
-    q.set_defaults(handler=_cmd_primes_norm)
+    q.set_defaults(handler=_cmd_primes_sum)
     q = psub.add_parser("twins", parents=[common], help="pi * sum 1/(p+1) over twin primes <= limit")
     q.add_argument("--limit", type=int, required=True)
-    q.set_defaults(handler=_cmd_primes_norm)
+    q.set_defaults(handler=_cmd_primes_sum)
     q = psub.add_parser("bertrand", parents=[common], help="exact witness for a prime in (N, 2N]")
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(handler=_cmd_primes_bertrand)
+    q.set_defaults(handler=_cmd_primes_sum)
     q = psub.add_parser("euler", parents=[common], help="prod 1/(1-1/p) over primes below pk")
     q.add_argument("--pk", type=int, required=True)
     q.set_defaults(handler=_cmd_primes_euler)
@@ -398,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = dsub.add_parser("rough", parents=[common], help="deduplicated decomposition of the rough series")
     q.add_argument("--pk", type=int, required=True)
     q.add_argument("--degree", type=int, required=True)
-    q.add_argument("--p2-limit", type=int, dest="p2_limit")
     q.set_defaults(handler=_cmd_decompose_rough)
     q = dsub.add_parser("tail", parents=[common], help="geometric majorant for rough reciprocals")
     q.add_argument("--pk", type=int, required=True)

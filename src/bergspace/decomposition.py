@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CoverageGap, PartitionViolation, TailNotSmall
+from .errors import PartitionViolation, TailNotSmall
 from .primes import PrimePartition, make_partition, rough_numbers, smooth_numbers, tail_sum
 from .rational import PiRational, sum_fractions, sum_reciprocals
 from .series import SparseSeries, add, norm_sq
@@ -170,7 +170,7 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
     claimed by Q or an earlier G. Checks the exact chain
     ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 for every l, then runs one exact
     coverage check: every rough number up to ``degree`` is claimed by Q or
-    some G_l, or CoverageGap is raised.
+    some G_l, or PartitionViolation is raised.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -198,7 +198,7 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
 
     for n in rough:
         if n not in seen:
-            raise CoverageGap(n)
+            raise PartitionViolation(n, [])
     q = SparseSeries.from_exponents(q_exps, degree_bound=degree)
     return DedupReport(pk, degree, p2_limit, q, tuple(g_blocks), tuple(h_norms))
 

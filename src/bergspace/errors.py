@@ -38,7 +38,7 @@ class NearZeroDetected(BergspaceError):
 
 
 class PartitionViolation(BergspaceError):
-    """An exponent was covered zero or >= 2 times by the monomial partition.
+    """An exponent was covered zero or >= 2 times by a monomial decomposition.
 
     Indicates an implementation bug, surfaced loudly rather than patched over.
     """
@@ -47,14 +47,6 @@ class PartitionViolation(BergspaceError):
         self.exponent = exponent
         self.labels = labels
         super().__init__(f"exponent {exponent} covered by blocks {labels!r}")
-
-
-class CoverageGap(BergspaceError):
-    """Some rough number landed in no block of the deduplicated decomposition."""
-
-    def __init__(self, exponent: int):
-        self.exponent = exponent
-        super().__init__(f"rough exponent {exponent} not covered by any block")
 
 
 class TailNotSmall(BergspaceError):

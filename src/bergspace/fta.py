@@ -97,12 +97,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return "Polynomial([" + ", ".join(repr(c) for c in self.coeffs) + "])"
 
-    def evaluate(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
-
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
         import numpy as np
 

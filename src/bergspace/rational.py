@@ -251,12 +251,3 @@ class PiRational:
                 self.imag_coefficient.denominator,
             ]
         return out
-
-    @staticmethod
-    def from_json(data: dict) -> PiRational:
-        num, den = data["pi_coeff"]
-        im = data.get("pi_coeff_imag")
-        if im is None:
-            return PiRational(Fraction(num, den))
-        return PiRational(Fraction(num, den), Fraction(im[0], im[1]))
-

@@ -179,11 +179,6 @@ class SparseSeries:
             "degree_bound": self._degree_bound,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> SparseSeries:
-        coeffs = {e: GaussianRational.from_json(c) for e, c in data["terms"]}
-        return SparseSeries(coeffs, data.get("degree_bound"))
-
 
 def _min_bound(a: int | None, b: int | None) -> int | None:
     if a is None:

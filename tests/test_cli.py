@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shlex
@@ -42,6 +44,12 @@ def test_parse_coefficient_forms():
         "i": (0, 1),
         "-i": (0, -1),
         "0": (0, 0),
+        # a sign right after e/E belongs to the exponent, not the real/imaginary split
+        "1e-5": (Fraction(1, 10**5), 0),
+        "1e-5i": (0, Fraction(1, 10**5)),
+        "3e-2+1e-3i": (Fraction(3, 100), Fraction(1, 1000)),
+        "2E-1i": (0, Fraction(1, 5)),
+        "1e+2i": (0, 100),
     }
     for text, (re, im) in cases.items():
         assert parse_coefficient(text) == GaussianRational(Fraction(re), Fraction(im))
@@ -88,6 +96,9 @@ def test_norm_series_report(capsys):
     code, out, _ = run_cli(capsys, "norm", "--series", "1@0,1@1", "--radius", "1")
     assert code == 0
     assert json.loads(out)["pi_coeff"] == [3, 2]
+    code, out, _ = run_cli(capsys, "norm", "--series", "1e-5i@0")
+    assert code == 0
+    assert json.loads(out)["pi_coeff"] == [1, 10**10]
 
 
 def test_inner_report(capsys):
@@ -168,6 +179,13 @@ def test_usage_error_exit_code(capsys):
         ("--format", "xml", "primes", "norm", "--limit", "10"),
         ("sweep", "primes-norm", "--range", "10..100", "--points", "0"),
         ("sweep", "primes-norm", "--range", "10..100", "--points", "-3"),
+        ("sweep", "bertrand", "--range", "0..3"),
+        ("sweep", "twins", "--range", "-2..3"),
+        ("sweep", "twins", "--range=-2..3"),
+        # sweeps are CSV only, and the rough decomposition's Q always ends at D
+        ("sweep", "bertrand", "--range", "1..3", "--format", "json"),
+        ("--format", "json", "sweep", "twins", "--range", "1..3"),
+        ("decompose", "rough", "--pk", "3", "--degree", "100", "--p2-limit", "200"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -245,6 +263,56 @@ def test_sweep_bertrand_all_true(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 101
     assert all(line.endswith("True") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "target,command,flag,range_text",
+    [("bertrand", "bertrand", "--n", "1..20"), ("twins", "twins", "--limit", "1..50")],
+)
+def test_sweep_rows_match_single_point_reports(capsys, target, command, flag, range_text):
+    code, out, _ = run_cli(capsys, "--format", "csv", "sweep", target, "--range", range_text)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    lo, hi = map(int, range_text.split(".."))
+    assert [int(row["parameter"]) for row in rows] == list(range(lo, hi + 1))
+    for row in rows:
+        code, out, _ = run_cli(capsys, "primes", command, flag, row["parameter"])
+        assert code == 0
+        report = json.loads(out)
+        assert [int(row["numerator"]), int(row["denominator"])] == report["pi_coeff"]
+        assert float(row["float"]) == report["float"]
+        if target == "bertrand":
+            assert row["prime_found"] == str(report["prime_found"])
+        else:
+            assert "prime_found" not in row
+
+
+def test_prime_sums_look_up_primes_at_call_time(monkeypatch, capsys):
+    # wrappers installed on the primes module (as the benchmark's tracer
+    # does) must see every call the prime-sum commands and sweeps make
+    calls = []
+    for name in ("prime_norm_partial", "twin_prime_norm_partial", "bertrand_witness"):
+        fn = getattr(cli.primes, name)
+        monkeypatch.setattr(
+            cli.primes, name, lambda n, fn=fn, name=name: calls.append(name) or fn(n)
+        )
+    for argv in (
+        ("primes", "norm", "--limit", "10"),
+        ("primes", "twins", "--limit", "10"),
+        ("primes", "bertrand", "--n", "10"),
+        ("sweep", "primes-norm", "--range", "1..2"),
+        ("sweep", "twins", "--range", "1..2"),
+        ("sweep", "bertrand", "--range", "1..2"),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [
+        "prime_norm_partial",
+        "twin_prime_norm_partial",
+        "bertrand_witness",
+        *["prime_norm_partial"] * 2,
+        *["twin_prime_norm_partial"] * 2,
+        *["bertrand_witness"] * 2,
+    ]
 
 
 def test_sweep_empty_range_header_only(capsys):

@@ -11,7 +11,7 @@ from bergspace.decomposition import (
     step_one_norm_bound,
     step_two_norm_bound,
 )
-from bergspace.errors import CoverageGap, PartitionViolation, TailNotSmall
+from bergspace.errors import PartitionViolation, TailNotSmall
 from bergspace.primes import make_partition, rough_numbers
 from bergspace.rational import PiRational, sum_fractions
 from bergspace.series import compose_power, truncate
@@ -181,9 +181,9 @@ def test_dedup_coverage_check_catches_a_missing_prime(monkeypatch):
         return replace(part, p2=part.p2[:-1])
 
     monkeypatch.setattr(decomposition, "make_partition", short_p2)
-    with pytest.raises(CoverageGap) as info:
+    with pytest.raises(PartitionViolation) as info:
         rough_dedup(3, 100, 100)
-    assert info.value.exponent == 97
+    assert (info.value.exponent, info.value.labels) == (97, [])
 
 
 @pytest.mark.parametrize("pk,degree", [(2, 200), (3, 500), (7, 600)])

@@ -140,10 +140,10 @@ def test_tail_bound_honored_on_samples():
         poly = random_polynomial(rng, 2, 6)
         r0 = float(r0_bound(poly))
         lead = math.sqrt(float(poly.leading.abs_sq()))
-        for _ in range(100):
-            radius = rng.uniform(r0, 4 * r0)
-            z = radius * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            assert abs(poly.evaluate(z)) >= 0.5 * lead * radius**poly.degree * (1 - 1e-9)
+        samples = [(rng.uniform(r0, 4 * r0), rng.uniform(0, 2 * math.pi)) for _ in range(100)]
+        radius, theta = np.array(samples).T
+        values = np.abs(poly.evaluate_array(radius * np.exp(1j * theta)))
+        assert np.all(values >= 0.5 * lead * radius**poly.degree * (1 - 1e-9))
 
 
 def test_annulus_bound_examples():
