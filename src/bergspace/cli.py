@@ -30,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -315,6 +316,11 @@ def _cmd_sweep(args, fmt: str, digits: int) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag starts "-<digit>": read "-2..3" as a value, as CPython 3.13 does
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

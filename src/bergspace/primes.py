@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import OutOfRange
 from .rational import PiRational, sum_reciprocals
@@ -34,21 +34,25 @@ __all__ = [
 ]
 
 
-def _sieve_list(limit: int) -> list[int]:
-    # Odd-only sieve: flag i stands for 2i+1. A bytearray with slice
-    # assignment keeps numpy (and its ~0.1 s import) off this path; it runs
-    # about half numpy's speed, still under 0.2 s at 1e7.
-    if limit < 2:
-        return []
+def _odd_survivors(limit: int, odd_primes: Iterable[int]) -> Iterator[int]:
+    # Odd n in [3, limit], limit >= 1, with no factor among odd_primes but
+    # themselves. Flag i stands for 2i+1. Marking from p^2 is enough when every
+    # odd prime below max(odd_primes) is passed: pm with m < p falls to a
+    # factor of m. A bytearray with slice assignment keeps numpy (and its
+    # ~0.1 s import) off this path; it runs about half numpy's speed.
     n = (limit + 1) // 2
     flags = bytearray(b"\x01") * n
     flags[0] = 0
-    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            flags[start::p] = bytes(len(range(start, n, p)))
-    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
+    for p in odd_primes:
+        start = p * p // 2
+        flags[start::p] = bytes(len(range(start, n, p)))
+    return itertools.compress(range(1, limit + 1, 2), flags)
+
+
+def _sieve_list(limit: int) -> list[int]:
+    if limit < 2:
+        return []
+    return [2, *_odd_survivors(limit, _sieve_list(math.isqrt(limit))[1:])]
 
 
 # In-memory sieve shared by every query in this process: (limit, primes
@@ -57,54 +61,45 @@ def _sieve_list(limit: int) -> list[int]:
 _cache: tuple[int, list[int]] = (1, [])
 
 
-def _primes_up_to(limit: int) -> list[int]:
+def _sieved(limit: int) -> list[int]:
+    """The cached primes list, up to at least ``limit``; never modify it."""
     global _cache
     cached_limit, cached = _cache
     if limit > cached_limit:
         new_limit = max(limit, 2 * cached_limit)
         cached = _sieve_list(new_limit)
         _cache = (new_limit, cached)
-    return cached[: bisect_right(cached, limit)]
+    return cached
 
 
-# Prefix sums of 1/(p+1) over one common denominator make a windowed norm
-# cost a single subtraction plus one gcd. Tables are keyed by power-of-two
-# prime limits so a query pays for its own range, never for whatever larger
-# sieve some other caller happened to build; past the cap the tables would
-# hold hundreds of megabytes of numerators, and one-shot tree summation
-# wins anyway.
-_PREFIX_LEVEL_CAP = 1 << 16
-_prefix_tables: dict[int, tuple[tuple[int, ...], list[int], int]] = {}
+def _primes_up_to(limit: int) -> list[int]:
+    primes = _sieved(limit)
+    return primes[: bisect_right(primes, limit)]
 
 
-def _recip_succ_prefix(level: int) -> tuple[tuple[int, ...], list[int], int]:
-    table = _prefix_tables.get(level)
-    if table is None:
-        primes = tuple(_primes_up_to(level))
-        common = 1
-        for p in primes:
-            common = math.lcm(common, p + 1)
-        prefix = [0]
-        for p in primes:
-            prefix.append(prefix[-1] + common // (p + 1))
-        table = (primes, prefix, common)
-        _prefix_tables[level] = table
-    return table
+def _recip_succ_sum(primes: list[int], lo: int, hi: int) -> Fraction:
+    """Exact sum of 1/(p+1) over the listed primes p with lo < p <= hi."""
+    chunk = primes[bisect_right(primes, lo) : bisect_right(primes, hi)]
+    return sum_reciprocals([p + 1 for p in chunk])
+
+
+# The last window (lo, hi, sum of 1/(p+1) over primes in (lo, hi]), swapped
+# whole like _cache. Loops and sweeps move it right: add the primes entering
+# at the top, subtract those leaving at the bottom. Any other query, such as
+# a jump past hi where sliding would sum more primes, starts empty at lo.
+_last_window: tuple[int, int, Fraction] = (0, 0, Fraction(0))
 
 
 def _recip_succ_window(lo: int, hi: int) -> Fraction:
-    """Exact sum of 1/(p+1) over primes p with lo < p <= hi."""
-    if hi <= lo or hi < 2:
-        return Fraction(0)
-    level = 1 << hi.bit_length()
-    if level > _PREFIX_LEVEL_CAP:
-        primes = _primes_up_to(hi)
-        start = bisect_right(primes, lo)
-        return sum_reciprocals([p + 1 for p in primes[start:]])
-    primes, prefix, common = _recip_succ_prefix(level)
-    i = bisect_right(primes, lo)
-    j = bisect_right(primes, hi)
-    return Fraction(prefix[j] - prefix[i], common)
+    """Exact sum of 1/(p+1) over primes p with lo < p <= hi, for lo <= hi."""
+    global _last_window
+    last_lo, last_hi, total = _last_window
+    if not last_lo <= lo <= last_hi <= hi:
+        last_lo, last_hi, total = lo, lo, Fraction(0)
+    primes = _sieved(hi)
+    total += _recip_succ_sum(primes, last_hi, hi) - _recip_succ_sum(primes, last_lo, lo)
+    _last_window = (lo, hi, total)
+    return total
 
 
 def prime_series(limit: int) -> SparseSeries:
@@ -125,9 +120,9 @@ def twin_prime_norm_partial(limit: int) -> PiRational:
     """pi * sum 1/(p+1) over primes p <= limit with p+2 also prime."""
     if limit < 0:
         raise OutOfRange(f"limit must be >= 0, got {limit}")
+    # p + 2 <= limit + 2 is prime exactly when it follows p in the list
     primes = _primes_up_to(limit + 2)
-    prime_set = set(primes)
-    terms = [p + 1 for p in primes if p <= limit and p + 2 in prime_set]
+    terms = [p + 1 for p, q in itertools.pairwise(primes) if q == p + 2]
     return PiRational(sum_reciprocals(terms))
 
 
@@ -199,14 +194,11 @@ def rough_numbers(part: PrimePartition, limit: int) -> list[int]:
         return []
     if not part.p1:
         return list(range(2, limit + 1))
-    # p1 holds 2, so only odd n can be rough: flag i stands for 2i+1, as in
-    # _sieve_list, and the odd multiples of p sit p flags apart from p.
-    n = (limit + 1) // 2
-    flags = bytearray(b"\x01") * n
-    flags[0] = 0
-    for p in part.p1[1:]:
-        flags[p // 2 :: p] = bytes(len(range(p // 2, n, p)))
-    return list(itertools.compress(range(1, limit + 1, 2), flags))
+    # p1 holds 2, so only odd n can be rough; the odd p1 primes survive
+    # the sieve and sit below pk, before every rough number
+    survivors = list(_odd_survivors(limit, part.p1[1:]))
+    del survivors[: bisect_left(survivors, part.pk)]
+    return survivors
 
 
 def euler_product_smooth(part: PrimePartition) -> Fraction:

@@ -3,6 +3,10 @@ every name the benchmark's tracer wraps still exists."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -45,3 +49,43 @@ def test_traced_targets_resolve():
             owner = getattr(owner, part, None)
         raw = vars(owner).get(path[-1]) if owner is not None else None
         assert raw is not None, target
+
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+# One round of a workload's jobs under the tracer; prints the sorted modules
+# whose spans were recorded and the workload's layers, as JSON.
+ROUND_UNDER_TRACER = """
+import contextlib, io, json, sys
+import child, tracer
+from workloads import WORKLOADS
+from bergspace import cli
+
+workload = WORKLOADS[sys.argv[1]]
+trace = tracer.Tracer().install()
+for job in workload.jobs(0, 0):
+    if job.kind == "cli":
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.dispatch(list(job.args)) == job.expect_rc, job.args
+    else:
+        child.LIBRARY[job.kind][0](*job.args)
+recorded = sorted({span[0].split(".")[0] for span in trace.spans})
+print(json.dumps([recorded, sorted(workload.layers)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]]
+)
+def test_every_benchmark_layer_records_a_span(workload):
+    # The benchmark's traced runs refuse a workload whose claimed layer
+    # records nothing; check that here rather than in a 55 s benchmark run.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(TRACER_PATH.parents[1] / "src"), str(TRACER_PATH.parent)]))
+    done = subprocess.run(
+        [sys.executable, "-c", ROUND_UNDER_TRACER, workload],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    recorded, layers = json.loads(done.stdout)
+    assert set(layers) <= set(recorded)

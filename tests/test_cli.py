@@ -193,6 +193,15 @@ def test_usage_error_exit_code(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("range_args", [("--range", "-2..3"), ("--range=-2..3",)])
+def test_negative_range_start_reaches_the_library(capsys, range_args):
+    # "-2..3" is a value, not an unknown option, so the error names it
+    code, out, err = run_cli(capsys, "sweep", "twins", *range_args)
+    assert code == 2
+    assert not out
+    assert err == "error: limit must be >= 0, got -2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

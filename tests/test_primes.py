@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -124,7 +126,7 @@ def test_smooth_rough_against_factorization_oracle():
         assert (n in rough) == all(p >= 7 for p in factors)
 
 
-@pytest.mark.parametrize("pk", [2, 3, 5, 7, 29])
+@pytest.mark.parametrize("pk", [2, 3, 5, 7, 11, 29, 97])
 def test_rough_numbers_against_trial_division(pk):
     small = [p for p in range(2, pk) if oracle_is_prime(p)]
     for limit in range(301):
@@ -170,28 +172,61 @@ def test_bertrand_witness_examples():
         bertrand_witness(0)
 
 
-def test_bertrand_witness_matches_direct_window_sum():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(1, 5000)
-        direct = sum(
-            (Fraction(1, p + 1) for p in range(n + 1, 2 * n + 1) if oracle_is_prime(p)),
-            Fraction(0),
-        )
-        witness = bertrand_witness(n)
-        assert witness.value == PiRational(direct)
-        assert witness.prime_found == (direct != 0)
-
-
-@pytest.mark.parametrize("n", [32767, 32768, 40000])
-def test_bertrand_witness_past_the_prefix_cap(n):
-    # 2n = 65534 is the last window end the prefix tables serve (level 2^16);
-    # from n = 32768 on the window is summed directly over the sieve
-    direct = sum(
+def oracle_bertrand_sum(n):
+    return sum(
         (Fraction(1, p + 1) for p in range(n + 1, 2 * n + 1) if oracle_is_prime(p)),
         Fraction(0),
     )
-    assert bertrand_witness(n) == (PiRational(direct), True)
+
+
+def test_bertrand_witness_matches_direct_window_sum():
+    rng = random.Random(11)
+    random_order = [rng.randint(1, 5000) for _ in range(25)]
+    # bertrand_witness slides the last window (n, 2n] when the next one moves
+    # right and starts afresh otherwise; this order takes every kind of move
+    fixed_order = [
+        1, 2, 3, 4, 5,  # consecutive n
+        5, 5,  # repeated n
+        40, 60, 90,  # n -> 1.5n: the windows overlap
+        270, 810,  # n -> 3n: they do not
+        809, 400,  # decreasing n
+        401, 1000, 1001, 1001, 1500, 4500, 4499, 4500, 5000, 1,
+    ]
+    for n in random_order + fixed_order:
+        direct = oracle_bertrand_sum(n)
+        witness = bertrand_witness(n)
+        assert witness.value == PiRational(direct), n
+        assert witness.prime_found == (direct != 0)
+
+
+def test_bertrand_window_shared_by_threads():
+    # every thread slides the one cached window along its own run of n; a
+    # window updated in place would hand some thread another thread's sum
+    runs = [range(start, start + 40) for start in (1, 45, 90, 135, 180, 225)]
+    expected = {n: PiRational(oracle_bertrand_sum(n)) for run in runs for n in run}
+    wrong = []
+
+    def walk(run):
+        for _ in range(5):
+            wrong.extend(n for n in run if bertrand_witness(n).value != expected[n])
+
+    threads = [threading.Thread(target=walk, args=(run,)) for run in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("n", [32767, 32768, 40000])
+def test_bertrand_witness_large_n(n):
+    assert bertrand_witness(n) == (PiRational(oracle_bertrand_sum(n)), True)
 
 
 def test_twin_prime_norm_examples():
