@@ -27,18 +27,21 @@ Exact coefficients survive the shell as "num/den" tokens: series terms are
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import decomposition, fta, primes
+# Each command imports the modules it needs when it runs, so a process
+# loads only those; errors is shared by every command's exit-code mapping.
 from .errors import BergspaceError, TailNotSmall
-from .fta import Polynomial, QuadratureGrid
-from .rational import GaussianRational, PiRational
-from .series import Disc, SparseSeries, inner_product, norm_sq
+
+if TYPE_CHECKING:
+    from .fta import Polynomial, QuadratureGrid
+    from .rational import GaussianRational, PiRational
+    from .series import SparseSeries
 
 FULL_LISTING_MAX_DEGREE = 128
 
@@ -59,6 +62,8 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_coefficient(text: str) -> GaussianRational:
     """Gaussian rational: "2", "-3/4", "2i", "1/2+3/4i", "1/2-3/4i", "i", "1e-5i"."""
+    from .rational import GaussianRational
+
     s = text.replace(" ", "")
     if not s:
         raise UsageError("empty coefficient")
@@ -82,6 +87,9 @@ def parse_coefficient(text: str) -> GaussianRational:
 
 def parse_series(text: str) -> SparseSeries:
     """Comma list of coeff@exponent terms; repeated exponents accumulate."""
+    from .rational import GaussianRational
+    from .series import SparseSeries
+
     coeffs: dict[int, GaussianRational] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -103,6 +111,8 @@ def parse_series(text: str) -> SparseSeries:
 
 def parse_poly(text: str) -> Polynomial:
     """Comma list a0,a1,...,an of Gaussian-rational coefficients."""
+    from .fta import Polynomial
+
     parts = [p for p in (chunk.strip() for chunk in text.split(",")) if p]
     if not parts:
         raise UsageError("empty polynomial")
@@ -113,6 +123,8 @@ def parse_poly(text: str) -> Polynomial:
 
 
 def parse_grid(text: str) -> QuadratureGrid:
+    from .fta import QuadratureGrid
+
     try:
         nr_text, nt_text = text.lower().split("x")
         grid = QuadratureGrid(int(nr_text), int(nt_text))
@@ -159,6 +171,8 @@ def _flatten(prefix: str, value, row: dict) -> None:
 
 def emit(report: dict, fmt: str) -> str:
     if fmt == "csv":
+        import csv
+
         row: dict = {}
         _flatten("", report, row)
         buf = io.StringIO()
@@ -173,12 +187,16 @@ def emit(report: dict, fmt: str) -> str:
 
 
 def _cmd_norm(args, fmt: str, digits: int) -> str:
+    from .series import Disc, norm_sq
+
     series = parse_series(args.series)
     value = norm_sq(series, Disc(parse_rational(args.radius)))
     return emit(pi_report(value, digits), fmt)
 
 
 def _cmd_inner(args, fmt: str, digits: int) -> str:
+    from .series import Disc, inner_product
+
     f = parse_series(args.f)
     g = parse_series(args.g)
     value = inner_product(f, g, Disc(parse_rational(args.radius)))
@@ -186,8 +204,10 @@ def _cmd_inner(args, fmt: str, digits: int) -> str:
 
 
 def _cmd_fta_cert(args, fmt: str, digits: int) -> str:
+    from . import fta
+
     poly = parse_poly(args.poly)
-    grid = parse_grid(args.grid) if args.grid else QuadratureGrid()
+    grid = parse_grid(args.grid) if args.grid else fta.QuadratureGrid()
     report = fta.root_disc_certificate(poly, grid)
     return emit(report.to_json(), fmt)
 
@@ -195,6 +215,8 @@ def _cmd_fta_cert(args, fmt: str, digits: int) -> str:
 def _prime_sum(kind: str, n: int) -> PiRational:
     """The exact prime sum a ``primes`` command or sweep target names."""
     # looked up per call, so wrappers installed on primes.* see every call
+    from . import primes
+
     if kind == "bertrand":
         return primes.bertrand_witness(n).value
     if kind == "twins":
@@ -212,6 +234,8 @@ def _cmd_primes_sum(args, fmt: str, digits: int) -> str:
 
 
 def _cmd_primes_euler(args, fmt: str, digits: int) -> str:
+    from . import primes
+
     part = primes.make_partition(args.pk, max(args.pk - 1, 0))
     product = primes.euler_product_smooth(part)
     report = {
@@ -223,6 +247,8 @@ def _cmd_primes_euler(args, fmt: str, digits: int) -> str:
 
 
 def _cmd_decompose_geometric(args, fmt: str, digits: int) -> str:
+    from . import decomposition
+
     report = decomposition.geometric_partition(args.pk, args.degree)
     out: dict = {
         "pk": report.pk,
@@ -242,6 +268,8 @@ def _cmd_decompose_geometric(args, fmt: str, digits: int) -> str:
 
 
 def _cmd_decompose_rough(args, fmt: str, digits: int) -> str:
+    from . import decomposition
+
     report = decomposition.rough_dedup(args.pk, args.degree, args.degree)
     out: dict = {
         "pk": report.pk,
@@ -261,6 +289,8 @@ def _cmd_decompose_rough(args, fmt: str, digits: int) -> str:
 
 
 def _cmd_decompose_tail(args, fmt: str, digits: int) -> str:
+    from . import decomposition, primes
+
     part = primes.make_partition(args.pk, args.p2_limit)
     terms = args.terms if args.terms is not None else args.p2_limit
     bound = decomposition.rough_tail_geometric_bound(part, terms)
@@ -299,6 +329,8 @@ def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
 def _cmd_sweep(args, fmt: str, digits: int) -> str:
     if getattr(args, "format", "csv") != "csv":
         raise UsageError("sweeps write CSV only; --format json applies to reports")
+    import csv
+
     lo, hi = parse_range(args.range)
     bertrand = args.target == "bertrand"
     buf = io.StringIO()

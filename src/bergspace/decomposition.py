@@ -19,9 +19,9 @@ order-sensitive by design); verification of a finished report is pure.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import PartitionViolation, TailNotSmall
 from .primes import PrimePartition, make_partition, rough_numbers, smooth_numbers, tail_sum
 from .rational import PiRational, sum_fractions, sum_reciprocals
@@ -47,16 +47,16 @@ def _unit_norm_sq(exponents) -> PiRational:
     return PiRational(sum_reciprocals([e + 1 for e in exponents]))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
+    __slots__ = ("label", "series")
     label: str
     series: SparseSeries
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(Record):
     """Monomial partition of 1 + z + ... + z^degree into orthogonal blocks."""
 
+    __slots__ = ("pk", "degree", "blocks", "coverage")
     pk: int
     degree: int
     blocks: tuple[Block, ...]
@@ -107,14 +107,14 @@ def geometric_partition(pk: int, degree: int) -> PartitionReport:
     return PartitionReport(pk, degree, tuple(block for block, _ in layout), coverage)
 
 
-@dataclass(frozen=True)
-class StepOneBound:
+class StepOneBound(Record):
     """Exact two-sided record for the truncated geometric-series estimate.
 
     lhs = ||1 + z + ... + z^D||^2.
     rhs = 3pi/2 + ||F_D||^2 + (pi + 2 ||F_D||^2) * sum_{smooth k <= D} 1/k.
     """
 
+    __slots__ = ("pk", "degree", "lhs", "rhs", "f_norm_sq", "smooth_recip_sum", "holds")
     pk: int
     degree: int
     lhs: PiRational
@@ -140,14 +140,14 @@ def step_one_norm_bound(pk: int, degree: int) -> StepOneBound:
     return StepOneBound(pk, degree, lhs, rhs, f_norm, smooth_sum, lhs <= rhs)
 
 
-@dataclass(frozen=True)
-class DedupReport:
+class DedupReport(Record):
     """F_D = Q + sum G_l with pairwise disjoint supports.
 
     q_block is the prime series over [pk, D]; g_blocks holds (l, G_l) in
     increasing l; h_norms records ||H_l||^2 for the norm-chain comparison.
     """
 
+    __slots__ = ("pk", "degree", "p2_limit", "q_block", "g_blocks", "h_norms")
     pk: int
     degree: int
     p2_limit: int
@@ -203,10 +203,10 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
     return DedupReport(pk, degree, p2_limit, q, tuple(g_blocks), tuple(h_norms))
 
 
-@dataclass(frozen=True)
-class StepTwoBound:
+class StepTwoBound(Record):
     """||F_D||^2 (summed block-wise) against 2 ||Q||^2 (1 + sum 1/l)."""
 
+    __slots__ = ("pk", "degree", "p2_limit", "f_norm_sq", "q_norm_sq", "bound", "holds")
     pk: int
     degree: int
     p2_limit: int
@@ -227,13 +227,13 @@ def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
     return StepTwoBound(pk, degree, p2_limit, f_norm, q_norm, bound, f_norm <= bound)
 
 
-@dataclass(frozen=True)
-class RoughTailBound:
+class RoughTailBound(Record):
     """Geometric majorant for the reciprocal sum over rough numbers.
 
     With s = sum 1/p over the tail primes and s < 1, every rough reciprocal
     sum is bounded by s + s^2 + ... = s / (1 - s)."""
 
+    __slots__ = ("tail", "geometric_bound", "partial_sum", "terms", "holds")
     tail: Fraction
     geometric_bound: Fraction
     partial_sum: Fraction

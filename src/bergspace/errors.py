@@ -7,6 +7,16 @@ outcomes that callers convert into reports or distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "BergspaceError",
+    "DegreeTooSmall",
+    "NearZeroDetected",
+    "OutOfRange",
+    "PartitionViolation",
+    "TailNotSmall",
+    "ZeroConstantTerm",
+]
+
 
 class BergspaceError(Exception):
     """Base class for every exception raised by this package."""

@@ -28,10 +28,10 @@ numpy is imported only inside the three functions that run the quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import DegreeTooSmall, NearZeroDetected, ZeroConstantTerm
 from .rational import GaussianRational
 from .series import SparseSeries
@@ -106,10 +106,10 @@ class Polynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class ReciprocalExpansion:
+class ReciprocalExpansion(Record):
     """Taylor coefficients b_0..b_D of 1/P around 0, as a sparse series."""
 
+    __slots__ = ("series", "source")
     series: SparseSeries
     source: Polynomial
 
@@ -189,8 +189,7 @@ def annulus_l2_bound(poly: Polynomial, r0: Fraction) -> float:
     return 4.0 * math.pi * float(1 / denom)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Midpoint rule on a polar grid.
 
     Radial cells are geometrically graded from radius*MIN_RADIUS_FRACTION
@@ -199,12 +198,14 @@ class QuadratureGrid:
     uniform. Both dimensions must be at least 8.
     """
 
-    n_r: int = 512
-    n_theta: int = 512
+    __slots__ = ("n_r", "n_theta")
+    n_r: int
+    n_theta: int
 
-    def __post_init__(self):
-        if self.n_r < 8 or self.n_theta < 8:
-            raise ValueError(f"grid dimensions must be >= 8, got {self.n_r}x{self.n_theta}")
+    def __init__(self, n_r: int = 512, n_theta: int = 512):
+        if n_r < 8 or n_theta < 8:
+            raise ValueError(f"grid dimensions must be >= 8, got {n_r}x{n_theta}")
+        super().__init__(n_r, n_theta)
 
     def spec_string(self) -> str:
         return f"{self.n_r}x{self.n_theta}"
@@ -249,8 +250,7 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
     return float((2.0 * math.pi / grid.n_theta) * np.sum(ring_sums * mids * widths))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Record):
     """A disc |z| <= certified_radius that must contain a root of P.
 
     m_constant = inner_integral + annulus_bound bounds the square integral
@@ -260,14 +260,17 @@ class CertificateReport:
     that node and certified_radius is its modulus.
     """
 
+    __slots__ = ("r0", "annulus_bound", "inner_integral", "m_constant", "certified_radius",
+                 "grid_spec", "root_witness", "comment")
     r0: Fraction
     annulus_bound: float
     inner_integral: float | None
     m_constant: float | None
     certified_radius: float
     grid_spec: QuadratureGrid
-    root_witness: complex | None = None
-    comment: str = BOUND_COMMENT
+    root_witness: complex | None
+    comment: str
+    _defaults = {"root_witness": None, "comment": BOUND_COMMENT}
 
     def to_json(self) -> dict:
         return {

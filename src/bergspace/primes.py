@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+from ._record import Record
 from .errors import OutOfRange
 from .rational import PiRational, sum_reciprocals
 from .series import SparseSeries
@@ -146,12 +146,12 @@ def bertrand_witness(n: int) -> BertrandWitness:
 # -- smooth / rough classification ------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimePartition:
+class PrimePartition(Record):
     """Primes split at the cutoff pk: p1 = primes below pk, p2 = primes in
     [pk, p2_limit]. Induces the smooth numbers (all factors < pk) and the
     rough numbers (all factors >= pk); 1 is deliberately in neither class."""
 
+    __slots__ = ("pk", "p1", "p2_limit", "p2")
     pk: int
     p1: tuple[int, ...]
     p2_limit: int

@@ -11,11 +11,14 @@ plain numerator/denominator pairs tree-style and reducing once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from math import pi as _PI
 from typing import Iterable, Union
+
+from ._record import Frozen, set_field
+
+__all__ = ["GaussianRational", "PiRational", "sum_fractions", "sum_reciprocals"]
 
 RationalLike = Union[int, Fraction]
 GaussianLike = Union[int, Fraction, "GaussianRational"]
@@ -65,16 +68,27 @@ def sum_reciprocals(denominators: Iterable[int]) -> Fraction:
     return _sum_ratios([1] * len(dens), dens)
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
+_ZERO = Fraction(0)
+
+
+class GaussianRational(Frozen):
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+    re: Fraction
+    im: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: RationalLike = _ZERO, im: RationalLike = _ZERO):
+        set_field(self, "re", re if type(re) is Fraction else _as_fraction(re))
+        set_field(self, "im", im if type(im) is Fraction else _as_fraction(im))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(value: GaussianLike) -> GaussianRational:
@@ -169,8 +183,7 @@ class GaussianRational:
 GAUSSIAN_ONE = GaussianRational(Fraction(1))
 
 
-@dataclass(frozen=True, slots=True)
-class PiRational:
+class PiRational(Frozen):
     """The exact value (coefficient + imag_coefficient*i) * pi.
 
     Inner products of series with real rational coefficients always have
@@ -179,12 +192,24 @@ class PiRational:
     float conversion insist on a real value.
     """
 
-    coefficient: Fraction = Fraction(0)
-    imag_coefficient: Fraction = Fraction(0)
+    __slots__ = ("coefficient", "imag_coefficient")
+    coefficient: Fraction
+    imag_coefficient: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", _as_fraction(self.coefficient))
-        object.__setattr__(self, "imag_coefficient", _as_fraction(self.imag_coefficient))
+    def __init__(self, coefficient: RationalLike = _ZERO, imag_coefficient: RationalLike = _ZERO):
+        set_field(self, "coefficient", _as_fraction(coefficient))
+        set_field(self, "imag_coefficient", _as_fraction(imag_coefficient))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.coefficient == other.coefficient
+            and self.imag_coefficient == other.imag_coefficient
+        )
+
+    def __hash__(self):
+        return hash((self.coefficient, self.imag_coefficient))
 
     @property
     def is_zero(self) -> bool:

@@ -16,10 +16,10 @@ is no shared mutable state, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+from ._record import Frozen, set_field
 from .rational import (
     GAUSSIAN_ONE,
     GaussianLike,
@@ -43,17 +43,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Disc:
+class Disc(Frozen):
     """The open disc |z| < radius, with exact rational radius."""
 
+    __slots__ = ("radius",)
     radius: Fraction
 
-    def __post_init__(self):
-        r = self.radius if isinstance(self.radius, Fraction) else Fraction(self.radius)
+    def __init__(self, radius: Fraction):
+        r = radius if isinstance(radius, Fraction) else Fraction(radius)
         if r <= 0:
             raise ValueError(f"disc radius must be positive, got {r}")
-        object.__setattr__(self, "radius", r)
+        set_field(self, "radius", r)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.radius == other.radius
+
+    def __hash__(self):
+        return hash((self.radius,))
+
+    def __repr__(self) -> str:
+        return f"Disc(radius={self.radius!r})"
 
 
 UNIT_DISC = Disc(Fraction(1))
@@ -257,13 +268,21 @@ def norm_sq(f: SparseSeries, disc: Disc = UNIT_DISC) -> PiRational:
     """||f||^2 = <f, f>; the coefficient is nonnegative and zero iff f = 0.
 
     Summed on integers: for R = a/b and c = p/q + (s/t)i, the term of z^e is
-    ((pt)^2 + (sq)^2) a^(2e+2) / ((qt)^2 b^(2e+2) (e+1)).
+    ((pt)^2 + (sq)^2) a^(2e+2) / ((qt)^2 b^(2e+2) (e+1)). The two powers
+    are carried along the exponents in increasing order.
     """
-    a, b = disc.radius.numerator, disc.radius.denominator
+    a2, b2 = disc.radius.numerator ** 2, disc.radius.denominator ** 2
+    a_pow = b_pow = 1
+    last = -1
     nums, dens = [], []
-    for e, c in f._coeffs.items():
-        p, q = c.re.numerator, c.re.denominator
-        s, t = c.im.numerator, c.im.denominator
-        nums.append(((p * t) ** 2 + (s * q) ** 2) * a ** (2 * e + 2))
-        dens.append((q * t) ** 2 * b ** (2 * e + 2) * (e + 1))
+    for e in sorted(f._coeffs):
+        a_pow *= a2 ** (e - last)
+        b_pow *= b2 ** (e - last)
+        last = e
+        c = f._coeffs[e]
+        re, im = c.re, c.im
+        p, q = re.numerator, re.denominator
+        s, t = im.numerator, im.denominator
+        nums.append(((p * t) ** 2 + (s * q) ** 2) * a_pow)
+        dens.append((q * t) ** 2 * b_pow * (e + 1))
     return PiRational(_sum_ratios(nums, dens))

@@ -13,9 +13,9 @@ from types import ModuleType
 import pytest
 
 import bergspace
-from bergspace import decomposition, fta, primes, series
+from bergspace import decomposition, errors, fta, primes, rational, series
 
-MODULES = [decomposition, fta, primes, series]
+MODULES = [decomposition, fta, primes, series, rational, errors]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -26,11 +26,27 @@ def test_every_public_name_is_reexported(module):
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_no_reexport_outside_all(module):
-    for name, obj in vars(bergspace).items():
-        if name.startswith("_") or isinstance(obj, ModuleType):
+    # the namespace is lazy, so walk what it offers rather than what it holds
+    for name in {*bergspace.__all__, *dir(bergspace)}:
+        if name.startswith("_"):
+            continue
+        obj = getattr(bergspace, name)
+        if isinstance(obj, ModuleType):
             continue
         if getattr(obj, "__module__", None) == module.__name__:
             assert name in module.__all__, name
+
+
+def test_all_is_the_union_of_the_module_exports():
+    exported = [name for module in MODULES for name in module.__all__]
+    assert len(exported) == len(set(exported))
+    assert sorted(bergspace.__all__) == sorted(exported)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bergspace.no_such_name
+    assert not hasattr(bergspace, "sum_ratios")
 
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

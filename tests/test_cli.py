@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bergspace import cli
+from bergspace import cli, primes
 from bergspace.cli import (
     UsageError,
     dispatch,
@@ -301,9 +301,9 @@ def test_prime_sums_look_up_primes_at_call_time(monkeypatch, capsys):
     # does) must see every call the prime-sum commands and sweeps make
     calls = []
     for name in ("prime_norm_partial", "twin_prime_norm_partial", "bertrand_witness"):
-        fn = getattr(cli.primes, name)
+        fn = getattr(primes, name)
         monkeypatch.setattr(
-            cli.primes, name, lambda n, fn=fn, name=name: calls.append(name) or fn(n)
+            primes, name, lambda n, fn=fn, name=name: calls.append(name) or fn(n)
         )
     for argv in (
         ("primes", "norm", "--limit", "10"),
@@ -434,3 +434,46 @@ def test_quadrature_imports_numpy_on_first_use():
     codes, numpy_loaded = run_fresh(["fta-cert", "--poly", "6,-5,1", "--grid", "64x64"])
     assert codes == [0]
     assert numpy_loaded
+
+
+def modules_added_by(code):
+    """The modules a fresh interpreter gains while running ``code``."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_command_modules():
+    added = modules_added_by("import bergspace.cli")
+    heavy = {"dataclasses", "inspect", "numpy", "csv"}
+    lazy = {"bergspace.fta", "bergspace.decomposition", "bergspace.primes"}
+    assert not added & (heavy | lazy)
+
+
+def test_package_import_loads_no_submodule():
+    added = modules_added_by("import bergspace")
+    assert "bergspace" in added
+    assert not {m for m in added if m.startswith("bergspace.")}
+
+
+def test_norm_command_loads_only_what_it_uses():
+    added = modules_added_by(
+        "import contextlib, io\n"
+        "from bergspace import cli\n"
+        "sys.argv = ['bergspace', 'norm', '--series', '1@0,1@1']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main()\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+    )
+    assert "bergspace.series" in added
+    assert not added & {"bergspace.fta", "bergspace.decomposition", "dataclasses"}

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from bergspace.decomposition import (
     step_two_norm_bound,
 )
 from bergspace.errors import PartitionViolation, TailNotSmall
-from bergspace.primes import make_partition, rough_numbers
+from bergspace.primes import PrimePartition, make_partition, rough_numbers
 from bergspace.rational import PiRational, sum_fractions
 from bergspace.series import compose_power, truncate
 
@@ -178,7 +177,7 @@ def test_dedup_parseval():
 def test_dedup_coverage_check_catches_a_missing_prime(monkeypatch):
     def short_p2(pk, p2_limit):
         part = make_partition(pk, p2_limit)
-        return replace(part, p2=part.p2[:-1])
+        return PrimePartition(part.pk, part.p1, part.p2_limit, part.p2[:-1])
 
     monkeypatch.setattr(decomposition, "make_partition", short_p2)
     with pytest.raises(PartitionViolation) as info:

@@ -99,6 +99,22 @@ def test_norm_sq_matches_direct_fold_and_inner_product(f, r):
     assert norm_sq(f, Disc(r)) == inner_product(f, f, Disc(r))
 
 
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(7, 5)])
+@pytest.mark.parametrize("exponents", [range(40), [0, 1, 7, 8, 30, 31, 32, 200, 999]])
+def test_norm_sq_in_any_insertion_order(exponents, r):
+    # norm_sq carries R's powers along the sorted exponents; the order the
+    # coefficients were inserted in must not matter
+    rng = random.Random(len(exponents))
+    coeffs = {e: GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                  Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+              for e in exponents}
+    fold = sum(c.abs_sq() * r ** (2 * e + 2) / (e + 1) for e, c in coeffs.items())
+    items = list(coeffs.items())
+    for _ in range(3):
+        rng.shuffle(items)
+        assert norm_sq(SparseSeries(dict(items)), Disc(r)) == PiRational(fold)
+
+
 def test_complex_inner_product_conjugates_second_argument():
     f = SparseSeries({2: GaussianRational(Fraction(0), Fraction(1))})  # i z^2
     g = SparseSeries({2: 1})

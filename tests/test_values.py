@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import bergspace
 from bergspace import (
     Block,
     Disc,
@@ -116,3 +117,14 @@ def test_keyword_construction_matches_positional():
     assert QuadratureGrid(n_theta=16, n_r=8) == QuadratureGrid(8, 16)
     assert GaussianRational(im=Fraction(1, 2)) == GaussianRational(0, Fraction(1, 2))
     assert Block(series=SparseSeries.monomial(0), label="1") == Block("1", SparseSeries.monomial(0))
+
+
+def test_record_fields_match_their_annotations():
+    from bergspace._record import Record
+
+    for name in bergspace.__all__:  # loads every module that defines a record
+        getattr(bergspace, name)
+    records = Record.__subclasses__()
+    assert records
+    for cls in [*records, GaussianRational, PiRational, Disc]:
+        assert tuple(cls.__annotations__) == cls.__slots__, cls.__name__
