@@ -1,11 +1,12 @@
 """Read-only slots classes: the package's values and report records.
 
 ``Frozen`` makes every slot read-only once ``__init__`` has set it through
-``set_field``. A ``Record`` subclass names its fields, in order, in
-``__slots__``; ``Record`` takes them positionally or by keyword
-(``_defaults`` fills the ones left out), renders them as
-``Name(field=value, ...)``, and compares and hashes them field by field.
-A record equals only a record of its own class, never a tuple.
+``set_field``; copies and pickles are rebuilt through ``__init__``. A
+``Record`` subclass names its fields, in order, in ``__slots__``;
+``Record`` takes them positionally or by keyword (``_defaults`` fills the
+ones left out), renders them as ``Name(field=value, ...)``, and compares
+and hashes them field by field. A record equals only a record of its own
+class, never a tuple.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes the fields in slot order
+        return self.__class__, self._values()
 
 
 class Record(Frozen):
@@ -42,9 +50,6 @@ class Record(Frozen):
                 raise TypeError(f"{type(self).__name__} missing field {name!r}")
         if kwargs:
             raise TypeError(f"{type(self).__name__} got unexpected or repeated {sorted(kwargs)}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,7 +1,9 @@
 """Value semantics of the package's immutable scalars and report records:
 literal reprs, equality with matching hashes, no equality with tuples,
-read-only fields and constructor validation."""
+read-only fields, copies and pickles, and constructor validation."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,13 @@ def test_fields_are_read_only(make, fields, name):
     with pytest.raises(AttributeError):
         delattr(value, name)
     assert value == make()
+
+
+@pytest.mark.parametrize("make,fields,name", VALUES, ids=IDS)
+def test_copies_and_pickles_round_trip(make, fields, name):
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value)
 
 
 def test_differing_fields_compare_unequal():
