@@ -1,12 +1,13 @@
-"""Read-only slots classes: the package's values and report records.
+"""Read-only slots records: the package's values and reports.
 
-``Frozen`` makes every slot read-only once ``__init__`` has set it through
-``set_field``; copies and pickles are rebuilt through ``__init__``. A
-``Record`` subclass names its fields, in order, in ``__slots__``;
+A ``Record`` subclass names its fields, in order, in ``__slots__``.
 ``Record`` takes them positionally or by keyword (``_defaults`` fills the
 ones left out), renders them as ``Name(field=value, ...)``, and compares
 and hashes them field by field. A record equals only a record of its own
-class, never a tuple.
+class, never a tuple. Every slot is read-only once ``__init__`` has set it
+through ``set_field``; copies and pickles are rebuilt through ``__init__``,
+so a subclass that writes its own ``__init__`` keeps taking the fields in
+slot order.
 """
 
 from __future__ import annotations
@@ -14,24 +15,7 @@ from __future__ import annotations
 set_field = object.__setattr__
 
 
-class Frozen:
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which takes the fields in slot order
-        return self.__class__, self._values()
-
-
-class Record(Frozen):
+class Record:
     __slots__ = ()
     _defaults: dict = {}
 
@@ -50,6 +34,19 @@ class Record(Frozen):
                 raise TypeError(f"{type(self).__name__} missing field {name!r}")
         if kwargs:
             raise TypeError(f"{type(self).__name__} got unexpected or repeated {sorted(kwargs)}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes the fields in slot order
+        return self.__class__, self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -16,7 +16,7 @@ from math import gcd
 from math import pi as _PI
 from typing import Iterable, Union
 
-from ._record import Frozen, set_field
+from ._record import Record, set_field
 
 __all__ = ["GaussianRational", "PiRational", "sum_fractions", "sum_reciprocals"]
 
@@ -71,7 +71,7 @@ def sum_reciprocals(denominators: Iterable[int]) -> Fraction:
 _ZERO = Fraction(0)
 
 
-class GaussianRational(Frozen):
+class GaussianRational(Record):
     """A complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
@@ -81,14 +81,6 @@ class GaussianRational(Frozen):
     def __init__(self, re: RationalLike = _ZERO, im: RationalLike = _ZERO):
         set_field(self, "re", re if type(re) is Fraction else _as_fraction(re))
         set_field(self, "im", im if type(im) is Fraction else _as_fraction(im))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     @staticmethod
     def of(value: GaussianLike) -> GaussianRational:
@@ -183,7 +175,7 @@ class GaussianRational(Frozen):
 GAUSSIAN_ONE = GaussianRational(Fraction(1))
 
 
-class PiRational(Frozen):
+class PiRational(Record):
     """The exact value (coefficient + imag_coefficient*i) * pi.
 
     Inner products of series with real rational coefficients always have
@@ -199,17 +191,6 @@ class PiRational(Frozen):
     def __init__(self, coefficient: RationalLike = _ZERO, imag_coefficient: RationalLike = _ZERO):
         set_field(self, "coefficient", _as_fraction(coefficient))
         set_field(self, "imag_coefficient", _as_fraction(imag_coefficient))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.coefficient == other.coefficient
-            and self.imag_coefficient == other.imag_coefficient
-        )
-
-    def __hash__(self):
-        return hash((self.coefficient, self.imag_coefficient))
 
     @property
     def is_zero(self) -> bool:

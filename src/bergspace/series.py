@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from ._record import Frozen, set_field
+from ._record import Record
 from .rational import (
     GAUSSIAN_ONE,
     GaussianLike,
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-class Disc(Frozen):
+class Disc(Record):
     """The open disc |z| < radius, with exact rational radius."""
 
     __slots__ = ("radius",)
@@ -53,18 +53,7 @@ class Disc(Frozen):
         r = radius if isinstance(radius, Fraction) else Fraction(radius)
         if r <= 0:
             raise ValueError(f"disc radius must be positive, got {r}")
-        set_field(self, "radius", r)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.radius == other.radius
-
-    def __hash__(self):
-        return hash((self.radius,))
-
-    def __repr__(self) -> str:
-        return f"Disc(radius={self.radius!r})"
+        super().__init__(r)
 
 
 UNIT_DISC = Disc(Fraction(1))

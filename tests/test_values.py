@@ -134,6 +134,6 @@ def test_record_fields_match_their_annotations():
     for name in bergspace.__all__:  # loads every module that defines a record
         getattr(bergspace, name)
     records = Record.__subclasses__()
-    assert records
-    for cls in [*records, GaussianRational, PiRational, Disc]:
+    assert {GaussianRational, PiRational, Disc} <= set(records)
+    for cls in records:
         assert tuple(cls.__annotations__) == cls.__slots__, cls.__name__

@@ -1,10 +1,10 @@
 """Paired parent/change runs of the benchmark, recorded as one BENCH file.
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --pairs N \
-        --seeds 1,2,3 [--workloads cli-readme,decompose] [--seconds 55] \
-        --out BENCH_<n>.json
+        --seeds 1,2,3 --out BENCH_<n>.json
 
-Run from the repository root. Both revisions are exported with
+Run from the repository root. The workloads and the length of each run
+are the ones ``BENCHMARK.json`` declares. Both revisions are exported with
 ``git archive`` into fresh temporary directories, so each side runs its
 own committed ``perfbench/`` against its own ``src/``. Each pair runs
 ``perfbench/run.py --trace 0`` once per side, alternating which side goes
@@ -43,7 +43,7 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``--trace 0`` run; returns its last stdout line, parsed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -91,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", required=True, help="comma-separated workload seeds")
-    parser.add_argument("--workloads", default="cli-readme,decompose")
-    parser.add_argument("--seconds", type=float, default=55.0, help="length of each run")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -100,10 +98,11 @@ def main(argv: list[str] | None = None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"]
 
     record = {
         "command": "python3 perfbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "pairs": args.pairs,
         "seeds": seeds,
         "host": {
@@ -119,14 +118,14 @@ def main(argv: list[str] | None = None) -> int:
         for side, rev in (("parent", args.parent), ("change", args.change)):
             trees[side].mkdir()
             record[side] = export(rev, trees[side])
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
             for i in range(args.pairs):
                 seed = seeds[i % len(seeds)]
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = run_once(trees[side], workload, seed, args.seconds)
+                    run[side] = run_once(trees[side], workload, seed, seconds)
                 runs.append(run)
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: run_s "
                       f"parent {run['parent']['metrics']['run_s']['value']:.3f} "
