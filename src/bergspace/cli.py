@@ -2,8 +2,9 @@
 
 One command per process; every report is written to stdout in a single
 atomic write, diagnostics go to stderr. Exit codes: 0 success, 2 malformed
-input or usage, 3 a mathematical hypothesis check failed (e.g. the prime
-tail sum was not below 1).
+input or usage (including a sieve limit past primes.SIEVE_LIMIT_CAP), 3 a
+mathematical hypothesis check failed (e.g. the prime tail sum was not
+below 1). A float rendering that overflows prints null.
 
 Usage examples:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -144,14 +146,20 @@ def parse_range(text: str) -> tuple[int, int]:
 # -- rendering ---------------------------------------------------------------
 
 
-def render_float(value: float, digits: int) -> float:
-    return float(f"{value:.{digits}g}")
+def render_float(value, digits: int) -> float | None:
+    """float(value) to ``digits`` significant digits, or None (JSON null)
+    when it overflows; the report's exact pair still carries the value."""
+    try:
+        rounded = float(f"{float(value):.{digits}g}")
+    except OverflowError:
+        return None
+    return rounded if math.isfinite(rounded) else None
 
 
 def pi_report(value: PiRational, digits: int) -> dict:
     out = value.to_json()
     if value.is_real:
-        out["float"] = render_float(float(value), digits)
+        out["float"] = render_float(value, digits)
     return out
 
 
@@ -241,7 +249,7 @@ def _cmd_primes_euler(args, fmt: str, digits: int) -> str:
     report = {
         "pk": args.pk,
         "product": fraction_json(product),
-        "float": render_float(float(product), digits),
+        "float": render_float(product, digits),
     }
     return emit(report, fmt)
 
@@ -299,7 +307,7 @@ def _cmd_decompose_tail(args, fmt: str, digits: int) -> str:
         "p2_limit": args.p2_limit,
         "terms": bound.terms,
         "tail": fraction_json(bound.tail),
-        "tail_float": render_float(float(bound.tail), digits),
+        "tail_float": render_float(bound.tail, digits),
         "geometric_bound": fraction_json(bound.geometric_bound),
         "partial_sum": fraction_json(bound.partial_sum),
         "holds": bound.holds,
@@ -339,7 +347,7 @@ def _cmd_sweep(args, fmt: str, digits: int) -> str:
     for n in _log_spaced(lo, hi, args.points):
         value = _prime_sum(args.target, n)
         q = value.coefficient
-        row = [n, q.numerator, q.denominator, render_float(float(value), digits)]
+        row = [n, q.numerator, q.denominator, render_float(value, digits)]
         writer.writerow(row + [not value.is_zero] * bertrand)
     return buf.getvalue()
 

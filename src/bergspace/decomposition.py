@@ -10,7 +10,9 @@ Two constructions, both at a finite truncation degree D:
 
 * ``rough_dedup`` decomposes F itself into the prime block Q and greedily
   deduplicated dilates G_l of Q, one per composite-capable rough l, and
-  checks the exact norm chain ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2.
+  proves the norm chain ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 with exact
+  integer checks that imply it: G_l is a sub-list of H_l, and
+  2(h_i + 1) >= l(q_i + 1) holds term by term against Q's prefix.
 
 Report construction is deterministic and sequential (the dedup seen-set is
 order-sensitive by design); verification of a finished report is pure.
@@ -25,7 +27,7 @@ from ._record import Record
 from .errors import PartitionViolation, TailNotSmall
 from .primes import PrimePartition, make_partition, rough_numbers, smooth_numbers, tail_sum
 from .rational import PiRational, sum_fractions, sum_reciprocals
-from .series import SparseSeries, add, norm_sq
+from .series import SparseSeries, add
 
 __all__ = [
     "Block",
@@ -162,15 +164,38 @@ class DedupReport(Record):
         return total
 
 
+def _dilate(l: int, q_exps: list[int], degree: int) -> list[int]:
+    """H_l: the l-fold dilate of Q's exponents, truncated at ``degree``."""
+    return [l * p for p in q_exps[: bisect_right(q_exps, degree // l)]]
+
+
+def _chain_holds(l: int, g: list[int], h: list[int], q_exps: list[int]) -> bool:
+    """||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2, from exact integer checks.
+
+    Every norm term 1/(e+1) is positive, so G_l being a sub-list of H_l
+    gives the first inequality. 2(h_i + 1) >= l(q_i + 1) pairs the i-th
+    exponent of H_l with that of Q, so 1/(h_i + 1) <= (2/l) / (q_i + 1);
+    summed over a prefix of Q, that gives the second.
+    """
+    rest = iter(h)
+    return (
+        all(e in rest for e in g)
+        and len(h) <= len(q_exps)
+        and all(2 * (e + 1) >= l * (p + 1) for e, p in zip(h, q_exps))
+    )
+
+
 def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
     """Greedy deduplicated decomposition of the rough-number series.
 
     Walks the rough numbers l in increasing order; H_l is the l-fold dilate
     of Q truncated at ``degree``, and G_l keeps only monomials not already
-    claimed by Q or an earlier G. Checks the exact chain
-    ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 for every l, then runs one exact
-    coverage check: every rough number up to ``degree`` is claimed by Q or
-    some G_l, or PartitionViolation is raised.
+    claimed by Q or an earlier G. For every l it proves the chain
+    ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 by integer checks that imply it
+    (a sub-list check and a termwise inequality, see ``_chain_holds``),
+    raising ArithmeticError if one fails; ||H_l||^2 itself is kept exact for
+    the report. Then one exact coverage check: every rough number up to
+    ``degree`` is claimed by Q or some G_l, or PartitionViolation is raised.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -181,20 +206,23 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
     part = make_partition(pk, p2_limit)
     rough = rough_numbers(part, degree)
     q_exps = part.p2[: bisect_right(part.p2, degree)]
-    q_norm = _unit_norm_sq(q_exps)
     seen = set(q_exps)
 
     g_blocks: list[tuple[int, SparseSeries]] = []
     h_norms: list[tuple[int, PiRational]] = []
-    for l in rough:
-        h = [l * p for p in q_exps[: bisect_right(q_exps, degree // l)]]
-        h_norm = _unit_norm_sq(h)
+    # past l = degree // pk, H_l and G_l are empty and the chain is 0 <= 0 <= (2/l) ||Q||^2
+    split = bisect_right(rough, degree // pk)
+    for l in rough[:split]:
+        h = _dilate(l, q_exps, degree)
         g = [e for e in h if e not in seen]
         seen.update(g)
-        g_blocks.append((l, SparseSeries.from_exponents(g, degree_bound=degree)))
-        h_norms.append((l, h_norm))
-        if not (_unit_norm_sq(g) <= h_norm and h_norm <= Fraction(2, l) * q_norm):
+        if not _chain_holds(l, g, h, q_exps):
             raise ArithmeticError(f"norm chain violated at l = {l}")
+        g_blocks.append((l, SparseSeries.from_exponents(g, degree_bound=degree)))
+        h_norms.append((l, _unit_norm_sq(h)))
+    empty, zero = SparseSeries.zero(degree), PiRational()
+    g_blocks += [(l, empty) for l in rough[split:]]
+    h_norms += [(l, zero) for l in rough[split:]]
 
     for n in rough:
         if n not in seen:
@@ -204,7 +232,11 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
 
 
 class StepTwoBound(Record):
-    """||F_D||^2 (summed block-wise) against 2 ||Q||^2 (1 + sum 1/l)."""
+    """||F_D||^2 against 2 ||Q||^2 (1 + sum 1/l).
+
+    The blocks are disjoint, so ||F_D||^2 = ||Q||^2 + ||sum G_l||^2, and the
+    second term is one exact sum of 1/(e+1) over every G_l's exponents.
+    """
 
     __slots__ = ("pk", "degree", "p2_limit", "f_norm_sq", "q_norm_sq", "bound", "holds")
     pk: int
@@ -218,9 +250,9 @@ class StepTwoBound(Record):
 
 def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
     report = rough_dedup(pk, degree, p2_limit)
-    q_norm = norm_sq(report.q_block)
-    g_norms = [norm_sq(g).coefficient for _, g in report.g_blocks]
-    f_norm = PiRational(sum_fractions([q_norm.coefficient, *g_norms]))
+    q_norm = _unit_norm_sq(report.q_block.support)
+    g_recip = sum_reciprocals([e + 1 for _, g in report.g_blocks for e in g.support])
+    f_norm = PiRational(sum_fractions([q_norm.coefficient, g_recip]))
     # g_blocks holds one entry per rough l <= degree
     rough_recip = sum_reciprocals([l for l, _ in report.g_blocks])
     bound = q_norm * (2 * (1 + rough_recip))

@@ -55,18 +55,24 @@ def _sieve_list(limit: int) -> list[int]:
     return [2, *_odd_survivors(limit, _sieve_list(math.isqrt(limit))[1:])]
 
 
+# The largest limit the sieve accepts. Its flags take about limit/2 bytes
+# and its primes list about 36 bytes a prime, roughly 0.25 GB at the cap.
+SIEVE_LIMIT_CAP = 10**8
+
 # In-memory sieve shared by every query in this process: (limit, primes
-# list). Rebuilds at least double the limit and swap the whole tuple, so
-# concurrent readers always see a consistent snapshot.
+# list). Rebuilds at least double the limit, up to the cap, and swap the
+# whole tuple, so concurrent readers always see a consistent snapshot.
 _cache: tuple[int, list[int]] = (1, [])
 
 
 def _sieved(limit: int) -> list[int]:
     """The cached primes list, up to at least ``limit``; never modify it."""
     global _cache
+    if limit > SIEVE_LIMIT_CAP:
+        raise OutOfRange(f"sieve limit {limit} exceeds the cap {SIEVE_LIMIT_CAP}")
     cached_limit, cached = _cache
     if limit > cached_limit:
-        new_limit = max(limit, 2 * cached_limit)
+        new_limit = min(max(limit, 2 * cached_limit), SIEVE_LIMIT_CAP)
         cached = _sieve_list(new_limit)
         _cache = (new_limit, cached)
     return cached

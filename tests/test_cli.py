@@ -202,20 +202,43 @@ def test_negative_range_start_reaches_the_library(capsys, range_args):
     assert err == "error: limit must be >= 0, got -2\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # the exact norm is fine; its float rendering overflows
-        ("norm", "--series", "1@0", "--radius", "1e400"),
-        # the quadrature's complex(c) overflows
-        ("fta-cert", "--poly", "1,0,1e400", "--grid", "16x16"),
-    ],
-)
-def test_float_overflow_is_input_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_float_overflow_renders_null(capsys):
+    # the exact norm pi * 10^800 is fine; only its float rendering overflows
+    code, out, err = run_cli(capsys, "norm", "--series", "1@0", "--radius", "1e400")
+    assert code == 0
+    assert not err
+    assert json.loads(out) == {"pi_coeff": [10**800, 1], "float": None}
+
+
+def test_render_float_is_null_past_the_float_range():
+    assert cli.render_float(Fraction(10**400), 15) is None
+    assert cli.render_float(-PiRational(Fraction(10**400)), 15) is None
+    # finite before rounding, infinite after it
+    assert cli.render_float(Fraction(17976931348623157, 10**16) * 10**308, 1) is None
+    assert cli.render_float(Fraction(1, 3), 3) == 0.333
+
+
+def test_quadrature_float_overflow_is_input_error(capsys):
+    # the quadrature's complex(c) overflows
+    code, out, err = run_cli(capsys, "fta-cert", "--poly", "1,0,1e400", "--grid", "16x16")
     assert code == 2
     assert not out
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("primes", "norm", "--limit"),
+        ("decompose", "geometric", "--pk", "3", "--degree"),
+    ],
+)
+def test_sieve_past_the_cap_is_input_error(capsys, argv):
+    limit = primes.SIEVE_LIMIT_CAP + 1
+    code, out, err = run_cli(capsys, *argv, str(limit))
+    assert code == 2
+    assert not out
+    assert err == f"error: sieve limit {limit} exceeds the cap {primes.SIEVE_LIMIT_CAP}\n"
 
 
 def test_decompose_tail_emits_large_exact_rationals(capsys):

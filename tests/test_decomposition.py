@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,18 @@ def test_dedup_coverage_check_catches_a_missing_prime(monkeypatch):
     with pytest.raises(PartitionViolation) as info:
         rough_dedup(3, 100, 100)
     assert (info.value.exponent, info.value.labels) == (97, [])
+
+
+@pytest.mark.parametrize("pk", [3, 5, 7])
+def test_dedup_chain_check_catches_an_undilated_h(monkeypatch, pk):
+    # H_l built from Q itself breaks 2(h_i + 1) >= l(q_i + 1) at the first
+    # l = pk; at l = 2 that inequality is tight, hence pk >= 3
+    def undilated(l, q_exps, degree):
+        return q_exps[: bisect_right(q_exps, degree // l)]
+
+    monkeypatch.setattr(decomposition, "_dilate", undilated)
+    with pytest.raises(ArithmeticError, match=f"norm chain violated at l = {pk}$"):
+        rough_dedup(pk, 200, 200)
 
 
 @pytest.mark.parametrize("pk,degree", [(2, 200), (3, 500), (7, 600)])

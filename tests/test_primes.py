@@ -56,6 +56,20 @@ def test_sieve_list_small_limits_and_prime_squares():
         assert primes._sieve_list(limit) == oracle[: bisect_right(oracle, limit)]
 
 
+def test_sieve_cache_stops_at_the_cap(monkeypatch):
+    # a small cap stands in for the real one, which tests never sieve at
+    monkeypatch.setattr(primes, "SIEVE_LIMIT_CAP", 1000)
+    monkeypatch.setattr(primes, "_cache", (1, []))
+    primes._sieved(600)
+    primes._sieved(700)
+    # the doubling to 1200 is clamped to the cap
+    assert primes._cache[0] == 1000
+    assert primes._primes_up_to(1000)[-1] == 997
+    with pytest.raises(OutOfRange, match="sieve limit 1001 exceeds the cap 1000"):
+        primes._sieved(1001)
+    assert primes._cache[0] == 1000
+
+
 def test_prime_series_examples():
     assert prime_series(4).support == (2, 3)
     assert prime_series(4).degree_bound == 4
