@@ -5,9 +5,12 @@ series and their partial norms, orthogonal monomial decompositions of the
 geometric series, and quadrature-backed root-disc certificates for complex
 polynomials.
 
-Every public name below is exported from the submodule that defines it,
-and the submodule is imported on first access (PEP 562), so ``import
-bergspace`` itself loads none of them.
+``_EXPORTS`` is the one list of public names, and each submodule's
+``__all__`` is its entry there. Every name is exported from the submodule
+that defines it, and the submodule is imported on first access (PEP 562),
+so ``import bergspace`` itself loads none of them. Python runs this file
+before any submodule, and it imports none, so the table is always there
+when a submodule reads it.
 """
 
 import importlib

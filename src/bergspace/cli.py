@@ -300,8 +300,7 @@ def _cmd_decompose_tail(args, fmt: str, digits: int) -> str:
     from . import decomposition, primes
 
     part = primes.make_partition(args.pk, args.p2_limit)
-    terms = args.terms if args.terms is not None else args.p2_limit
-    bound = decomposition.rough_tail_geometric_bound(part, terms)
+    bound = decomposition.rough_tail_geometric_bound(part, args.p2_limit)
     out = {
         "pk": args.pk,
         "p2_limit": args.p2_limit,
@@ -431,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = dsub.add_parser("tail", parents=[common], help="geometric majorant for rough reciprocals")
     q.add_argument("--pk", type=int, required=True)
     q.add_argument("--p2-limit", type=int, dest="p2_limit", required=True)
-    q.add_argument("--terms", type=int)
     q.set_defaults(handler=_cmd_decompose_tail)
 
     p = sub.add_parser("sweep", parents=[common], help="CSV sweep over a parameter range")

@@ -23,25 +23,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
+from . import _EXPORTS
 from ._record import Record
 from .errors import PartitionViolation, TailNotSmall
 from .primes import PrimePartition, make_partition, rough_numbers, smooth_numbers, tail_sum
 from .rational import PiRational, sum_fractions, sum_reciprocals
 from .series import SparseSeries, add
 
-__all__ = [
-    "Block",
-    "DedupReport",
-    "PartitionReport",
-    "RoughTailBound",
-    "StepOneBound",
-    "StepTwoBound",
-    "geometric_partition",
-    "rough_dedup",
-    "rough_tail_geometric_bound",
-    "step_one_norm_bound",
-    "step_two_norm_bound",
-]
+__all__ = _EXPORTS["decomposition"]
 
 
 def _unit_norm_sq(exponents) -> PiRational:
@@ -71,6 +60,12 @@ class PartitionReport(Record):
         return total
 
 
+def _dilate(l: int, exps: list[int], degree: int) -> list[int]:
+    """The l-fold dilate of the sorted exponents ``exps``, truncated at
+    ``degree``: F(z^k) from F's, and H_l from Q's."""
+    return [l * e for e in exps[: bisect_right(exps, degree // l)]]
+
+
 def geometric_partition(pk: int, degree: int) -> PartitionReport:
     """Partition the exponents 0..degree into 1, z, F(z), z^k and F(z^k) blocks.
 
@@ -91,7 +86,7 @@ def geometric_partition(pk: int, degree: int) -> PartitionReport:
         (Block("F(z)", SparseSeries.from_exponents(rough, degree_bound=degree)), rough),
     ]
     for k in smooth_numbers(part, degree):
-        shifted = [k * n for n in rough[: bisect_right(rough, degree // k)]]
+        shifted = _dilate(k, rough, degree)
         layout.append((Block(f"z^{k}", SparseSeries.monomial(k)), [k]))
         layout.append(
             (Block(f"F(z^{k})", SparseSeries.from_exponents(shifted, degree_bound=degree)), shifted)
@@ -162,11 +157,6 @@ class DedupReport(Record):
         for _, g in self.g_blocks:
             total = add(total, g)
         return total
-
-
-def _dilate(l: int, q_exps: list[int], degree: int) -> list[int]:
-    """H_l: the l-fold dilate of Q's exponents, truncated at ``degree``."""
-    return [l * p for p in q_exps[: bisect_right(q_exps, degree // l)]]
 
 
 def _chain_holds(l: int, g: list[int], h: list[int], q_exps: list[int]) -> bool:

@@ -7,15 +7,9 @@ outcomes that callers convert into reports or distinct exit codes.
 
 from __future__ import annotations
 
-__all__ = [
-    "BergspaceError",
-    "DegreeTooSmall",
-    "NearZeroDetected",
-    "OutOfRange",
-    "PartitionViolation",
-    "TailNotSmall",
-    "ZeroConstantTerm",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class BergspaceError(Exception):

@@ -31,6 +31,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from ._record import Record
 from .errors import DegreeTooSmall, NearZeroDetected, ZeroConstantTerm
 from .rational import GaussianRational
@@ -39,18 +40,7 @@ from .series import SparseSeries
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "CertificateReport",
-    "Polynomial",
-    "QuadratureGrid",
-    "ReciprocalExpansion",
-    "annulus_l2_bound",
-    "bergman_projection_constant",
-    "inner_disc_l2",
-    "r0_bound",
-    "reciprocal_taylor",
-    "root_disc_certificate",
-]
+__all__ = _EXPORTS["fta"]
 
 MIN_RADIUS_FRACTION = 1e-6
 

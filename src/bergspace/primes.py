@@ -14,24 +14,13 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+from . import _EXPORTS
 from ._record import Record
 from .errors import OutOfRange
 from .rational import PiRational, sum_reciprocals
 from .series import SparseSeries
 
-__all__ = [
-    "BertrandWitness",
-    "PrimePartition",
-    "bertrand_witness",
-    "euler_product_smooth",
-    "make_partition",
-    "prime_norm_partial",
-    "prime_series",
-    "rough_numbers",
-    "smooth_numbers",
-    "tail_sum",
-    "twin_prime_norm_partial",
-]
+__all__ = _EXPORTS["primes"]
 
 
 def _odd_survivors(limit: int, odd_primes: Iterable[int]) -> Iterator[int]:
@@ -90,9 +79,10 @@ def _recip_succ_sum(primes: list[int], lo: int, hi: int) -> Fraction:
 
 
 # The last window (lo, hi, sum of 1/(p+1) over primes in (lo, hi]), swapped
-# whole like _cache. Loops and sweeps move it right: add the primes entering
-# at the top, subtract those leaving at the bottom. Any other query, such as
-# a jump past hi where sliding would sum more primes, starts empty at lo.
+# whole like _cache. Bertrand witnesses, (N, 2N], and prime norms, (0, L],
+# share it. Loops and sweeps move it right: add the primes entering at the
+# top, subtract those leaving at the bottom. Any other query, such as a jump
+# past hi where sliding would sum more primes, starts empty at lo.
 _last_window: tuple[int, int, Fraction] = (0, 0, Fraction(0))
 
 
@@ -119,7 +109,7 @@ def prime_norm_partial(limit: int) -> PiRational:
     """||sum z^p||^2 on the unit disc = pi * sum_{p <= limit} 1/(p+1), exact."""
     if limit < 0:
         raise OutOfRange(f"limit must be >= 0, got {limit}")
-    return PiRational(sum_reciprocals([p + 1 for p in _primes_up_to(limit)]))
+    return PiRational(_recip_succ_window(0, limit))
 
 
 def twin_prime_norm_partial(limit: int) -> PiRational:

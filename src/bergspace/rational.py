@@ -16,9 +16,10 @@ from math import gcd
 from math import pi as _PI
 from typing import Iterable, Union
 
+from . import _EXPORTS
 from ._record import Record, set_field
 
-__all__ = ["GaussianRational", "PiRational", "sum_fractions", "sum_reciprocals"]
+__all__ = _EXPORTS["rational"]
 
 RationalLike = Union[int, Fraction]
 GaussianLike = Union[int, Fraction, "GaussianRational"]
@@ -226,17 +227,16 @@ class PiRational(Record):
 
     __rmul__ = __mul__
 
+    # > and >= reflect to these; any other operand type raises TypeError
     def __lt__(self, other: PiRational) -> bool:
+        if not isinstance(other, PiRational):
+            return NotImplemented
         return self._require_real("comparison") < other._require_real("comparison")
 
     def __le__(self, other: PiRational) -> bool:
+        if not isinstance(other, PiRational):
+            return NotImplemented
         return self._require_real("comparison") <= other._require_real("comparison")
-
-    def __gt__(self, other: PiRational) -> bool:
-        return other < self
-
-    def __ge__(self, other: PiRational) -> bool:
-        return other <= self
 
     def __float__(self) -> float:
         return float(self._require_real("float conversion")) * _PI

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+from . import _EXPORTS
 from ._record import Record
 from .rational import (
     GAUSSIAN_ONE,
@@ -29,18 +30,7 @@ from .rational import (
     sum_fractions,
 )
 
-__all__ = [
-    "Disc",
-    "SparseSeries",
-    "UNIT_DISC",
-    "add",
-    "compose_power",
-    "disjoint_support",
-    "inner_product",
-    "norm_sq",
-    "scale",
-    "truncate",
-]
+__all__ = _EXPORTS["series"]
 
 
 class Disc(Record):
@@ -159,17 +149,6 @@ class SparseSeries:
 
     def __add__(self, other: SparseSeries) -> SparseSeries:
         return add(self, other)
-
-    def __sub__(self, other: SparseSeries) -> SparseSeries:
-        return add(self, scale(other, -1))
-
-    def __neg__(self) -> SparseSeries:
-        return scale(self, -1)
-
-    def __mul__(self, c: GaussianLike) -> SparseSeries:
-        return scale(self, c)
-
-    __rmul__ = __mul__
 
     # -- serialization -----------------------------------------------------
 

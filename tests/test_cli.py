@@ -186,6 +186,8 @@ def test_usage_error_exit_code(capsys):
         ("sweep", "bertrand", "--range", "1..3", "--format", "json"),
         ("--format", "json", "sweep", "twins", "--range", "1..3"),
         ("decompose", "rough", "--pk", "3", "--degree", "100", "--p2-limit", "200"),
+        # the tail's partial sum always runs to p2_limit
+        ("decompose", "tail", "--pk", "29", "--p2-limit", "100", "--terms", "50"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -299,7 +301,11 @@ def test_sweep_bertrand_all_true(capsys):
 
 @pytest.mark.parametrize(
     "target,command,flag,range_text",
-    [("bertrand", "bertrand", "--n", "1..20"), ("twins", "twins", "--limit", "1..50")],
+    [
+        ("primes-norm", "norm", "--limit", "1..300"),
+        ("bertrand", "bertrand", "--n", "1..100"),
+        ("twins", "twins", "--limit", "1..50"),
+    ],
 )
 def test_sweep_rows_match_single_point_reports(capsys, target, command, flag, range_text):
     code, out, _ = run_cli(capsys, "--format", "csv", "sweep", target, "--range", range_text)
@@ -307,7 +313,9 @@ def test_sweep_rows_match_single_point_reports(capsys, target, command, flag, ra
     rows = list(csv.DictReader(io.StringIO(out)))
     lo, hi = map(int, range_text.split(".."))
     assert [int(row["parameter"]) for row in rows] == list(range(lo, hi + 1))
-    for row in rows:
+    # the sweep slides the cached prime window; falling points start it
+    # afresh each time, so the single-point reports are direct sums
+    for row in reversed(rows):
         code, out, _ = run_cli(capsys, "primes", command, flag, row["parameter"])
         assert code == 0
         report = json.loads(out)

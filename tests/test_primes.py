@@ -186,43 +186,70 @@ def test_bertrand_witness_examples():
         bertrand_witness(0)
 
 
-def oracle_bertrand_sum(n):
+def oracle_window_sum(lo, hi):
+    """sum of 1/(p+1) over the primes p in (lo, hi], by trial division."""
     return sum(
-        (Fraction(1, p + 1) for p in range(n + 1, 2 * n + 1) if oracle_is_prime(p)),
+        (Fraction(1, p + 1) for p in range(lo + 1, hi + 1) if oracle_is_prime(p)),
         Fraction(0),
     )
 
 
+def oracle_bertrand_sum(n):
+    return oracle_window_sum(n, 2 * n)
+
+
+# Bertrand witnesses, ("n", n) over (n, 2n], and prime norms, ("L", L) over
+# (0, L], share one cached window.
+def window_query(kind, x):
+    return bertrand_witness(x).value if kind == "n" else prime_norm_partial(x)
+
+
+def oracle_window_query(kind, x):
+    return PiRational(oracle_bertrand_sum(x) if kind == "n" else oracle_window_sum(0, x))
+
+
 def test_bertrand_witness_matches_direct_window_sum():
     rng = random.Random(11)
-    random_order = [rng.randint(1, 5000) for _ in range(25)]
-    # bertrand_witness slides the last window (n, 2n] when the next one moves
-    # right and starts afresh otherwise; this order takes every kind of move
+    random_order = [(rng.choice("nL"), rng.randint(1, 5000)) for _ in range(25)]
+    # the window slides when the next one moves right and starts afresh
+    # otherwise; this order takes every kind of move
+    n = lambda *values: [("n", v) for v in values]
+    L = lambda *values: [("L", v) for v in values]
     fixed_order = [
-        1, 2, 3, 4, 5,  # consecutive n
-        5, 5,  # repeated n
-        40, 60, 90,  # n -> 1.5n: the windows overlap
-        270, 810,  # n -> 3n: they do not
-        809, 400,  # decreasing n
-        401, 1000, 1001, 1001, 1500, 4500, 4499, 4500, 5000, 1,
+        *n(1, 2, 3, 4, 5),  # consecutive n
+        *n(5, 5),  # repeated n
+        *n(40, 60, 90),  # n -> 1.5n: the windows overlap
+        *n(270, 810),  # n -> 3n: they do not
+        *n(809, 400),  # decreasing n
+        *L(600),  # 400 < L < 800: a prime norm after a witness starts at 0
+        *n(401),  # slides (0, 600] to (401, 802]
+        *L(700, 701, 1000, 1000, 4000),  # rising and repeated L
+        *L(3999, 10, 0, 1, 2),  # falling L, then rising from the bottom
+        *n(1, 2),  # witnesses sliding off a prime norm's window
+        *n(1000, 1001, 1001, 1500),
+        *L(2000, 2999, 3000),  # L between n and 2n
+        *n(4500, 4499, 4500, 5000, 1),
     ]
-    for n in random_order + fixed_order:
-        direct = oracle_bertrand_sum(n)
-        witness = bertrand_witness(n)
-        assert witness.value == PiRational(direct), n
-        assert witness.prime_found == (direct != 0)
+    for kind, x in random_order + fixed_order:
+        direct = oracle_window_query(kind, x)
+        if kind == "n":
+            assert bertrand_witness(x) == (direct, not direct.is_zero), x
+        else:
+            assert prime_norm_partial(x) == direct, x
 
 
 def test_bertrand_window_shared_by_threads():
-    # every thread slides the one cached window along its own run of n; a
-    # window updated in place would hand some thread another thread's sum
-    runs = [range(start, start + 40) for start in (1, 45, 90, 135, 180, 225)]
-    expected = {n: PiRational(oracle_bertrand_sum(n)) for run in runs for n in run}
+    # every thread slides the one cached window along its own run of
+    # witnesses or prime norms; a window updated in place would hand some
+    # thread another thread's sum
+    runs = [[("n", n) for n in range(start, start + 40)] for start in (1, 45, 90, 135, 180, 225)]
+    runs += [[("L", L) for L in range(start, start + 400, 10)] for start in (0, 200)]
+    expected = {q: oracle_window_query(*q) for run in runs for q in run}
     wrong = []
 
     def walk(run):
         for _ in range(5):
-            wrong.extend(n for n in run if bertrand_witness(n).value != expected[n])
+            wrong.extend(q for q in run if window_query(*q) != expected[q])
 
     threads = [threading.Thread(target=walk, args=(run,)) for run in runs]
     interval = sys.getswitchinterval()

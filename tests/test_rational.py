@@ -62,6 +62,30 @@ def test_pi_rational_complex_guard():
     assert complex(twisted).imag == pytest.approx(1.5707963267948966)
 
 
+def test_pi_rational_comparisons_take_only_pi_rationals():
+    one, two = PiRational(1), PiRational(2)
+    assert (two > one, two >= one, one >= one, one > one) == (True, True, True, False)
+    assert (one > two, one >= two) == (False, False)
+    twisted = PiRational(1, 1)
+    for compare in (lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(ValueError):
+            compare(twisted, one)
+        with pytest.raises(ValueError):
+            compare(one, twisted)
+    # an int, a Fraction or a float is not a multiple of pi
+    for other in (0, Fraction(1), 1.0):
+        for compare in (
+            lambda a, b: a < b,
+            lambda a, b: a <= b,
+            lambda a, b: a > b,
+            lambda a, b: a >= b,
+        ):
+            with pytest.raises(TypeError):
+                compare(one, other)
+            with pytest.raises(TypeError):
+                compare(other, one)
+
+
 def test_pi_rational_json_round_trip():
     real = PiRational(Fraction(7, 8))
     assert real.to_json() == {"pi_coeff": [7, 8]}
