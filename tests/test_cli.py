@@ -313,8 +313,8 @@ def test_sweep_rows_match_single_point_reports(capsys, target, command, flag, ra
     rows = list(csv.DictReader(io.StringIO(out)))
     lo, hi = map(int, range_text.split(".."))
     assert [int(row["parameter"]) for row in rows] == list(range(lo, hi + 1))
-    # the sweep slides the cached prime window; falling points start it
-    # afresh each time, so the single-point reports are direct sums
+    # the sweep slides the cached prime window; each falling point after
+    # the first starts it afresh, so those reports are direct sums
     for row in reversed(rows):
         code, out, _ = run_cli(capsys, "primes", command, flag, row["parameter"])
         assert code == 0
