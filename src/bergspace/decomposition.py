@@ -26,7 +26,14 @@ from fractions import Fraction
 from . import _EXPORTS
 from ._record import Record
 from .errors import PartitionViolation, TailNotSmall
-from .primes import PrimePartition, make_partition, rough_numbers, smooth_numbers, tail_sum
+from .primes import (
+    PrimePartition,
+    _harmonic,
+    make_partition,
+    rough_numbers,
+    smooth_numbers,
+    tail_sum,
+)
 from .rational import PiRational, sum_fractions, sum_reciprocals
 from .series import SparseSeries, add
 
@@ -122,10 +129,17 @@ class StepOneBound(Record):
 
 
 def step_one_norm_bound(pk: int, degree: int) -> StepOneBound:
+    """The step-one record at cutoff pk and truncation degree D.
+
+    lhs = pi * H_{D+1}, since the monomials z^e have norm pi/(e+1). Every
+    k <= n has at most one prime factor p above b = isqrt(n), counted with
+    multiplicity, so H_n = sum_{b-smooth k <= n} 1/k + sum_{p > b} H_{n // p} / p;
+    ``primes._harmonic`` sums it that way.
+    """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree)
-    lhs = _unit_norm_sq(range(degree + 1))
+    lhs = PiRational(_harmonic(degree + 1))
     f_norm = _unit_norm_sq(rough_numbers(part, degree))
     smooth_sum = sum_reciprocals(smooth_numbers(part, degree))
     rhs_coeff = (

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import _EXPORTS
 from ._record import Record
 from .errors import OutOfRange
-from .rational import PiRational, sum_reciprocals
+from .rational import PiRational, _product, _sum_coprime, sum_reciprocals
 from .series import SparseSeries
 
 __all__ = _EXPORTS["primes"]
@@ -203,12 +203,56 @@ def euler_product_smooth(part: PrimePartition) -> Fraction:
     Expanding each geometric factor shows this equals 1 plus the sum of the
     reciprocals of every smooth number.
     """
-    product = Fraction(1)
-    for p in part.p1:
-        product *= Fraction(p, p - 1)
-    return product
+    return Fraction(_product(part.p1), _product(p - 1 for p in part.p1))
 
 
 def tail_sum(part: PrimePartition) -> Fraction:
     """sum of 1/p over the primes in [pk, p2_limit], exact."""
-    return sum_reciprocals(part.p2)
+    return Fraction(*_sum_coprime([1] * len(part.p2), list(part.p2)))
+
+
+def _harmonic(n: int) -> Fraction:
+    """H_n = sum_{k <= n} 1/k, exact; 0 for n <= 0.
+
+    With b = isqrt(n), every k <= n is either b-smooth or p*m for exactly
+    one prime p > b and some m <= n // p <= b, so
+
+        H_n = sum_{b-smooth k <= n} 1/k + sum_{b < p <= n} H_{n // p} / p.
+
+    L (``lcm`` below), the product of p^floor(log_p n) over primes p <= b,
+    is a common denominator of the first sum and of every H_q with q <= b,
+    so L times either is an integer. The primes p > b that share one
+    q = n // p add up to a fraction over their product, and L*H_q times
+    that fraction is one term of L*H_n. The terms' denominators are
+    products of disjoint sets of primes, so they add up without a gcd.
+    The one reduction is the final Fraction's.
+    """
+    if n < 1:
+        return Fraction(0)
+    b = math.isqrt(n)
+    primes = _primes_up_to(n)
+    split = bisect_right(primes, b)
+    big = primes[split:]
+    lcm = 1
+    for p in primes[:split]:
+        power = p
+        while power * p <= n:
+            power *= p
+        lcm *= power
+    # k survives when no prime above b divides it, that is when k is b-smooth
+    flags = bytearray(b"\x01") * (n + 1)
+    flags[0] = 0
+    for p in big:
+        flags[p::p] = bytes(n // p)
+    smooth = sum(map(lcm.__floordiv__, itertools.compress(range(n + 1), flags)))
+    # scaled[q] = L * H_q for q <= b
+    scaled = list(itertools.accumulate(map(lcm.__floordiv__, range(1, b + 1)), initial=0))
+    nums, dens = [smooth], [1]
+    # n // p falls as p rises: add up each run of 1/p, then scale it once
+    for q, run in itertools.groupby(big, lambda p: n // p):
+        run = list(run)
+        num, den = _sum_coprime([1] * len(run), run)
+        nums.append(scaled[q] * num)
+        dens.append(den)
+    num, den = _sum_coprime(nums, dens)
+    return Fraction(num, lcm * den)

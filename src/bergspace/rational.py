@@ -4,9 +4,13 @@ Everything here is built on ``fractions.Fraction`` so that equality,
 comparison and accumulation are exact. Floats appear only on explicit
 conversion (``complex()``, ``float()``), which the CLI uses for display.
 
-Sums of many terms go through one integer kernel: ``sum_fractions`` adds
-Fractions and ``sum_reciprocals`` adds 1/d over ints, both by merging
-plain numerator/denominator pairs tree-style and reducing once at the end.
+Sums of many terms merge plain numerator/denominator pairs tree-style and
+reduce once at the end. ``sum_fractions`` and ``sum_reciprocals`` put each
+pair over the lcm of its denominators, which costs a gcd per merge. Sums
+whose denominators are pairwise coprime take ``_sum_coprime`` instead: the
+sum of 1/p over distinct primes in ``primes.tail_sum``, and the prime runs
+and scaled parts of ``primes._harmonic``. The lcm of coprime denominators
+is their product, so those merges run no gcd.
 """
 
 from __future__ import annotations
@@ -55,6 +59,35 @@ def _sum_ratios(nums: list[int], dens: list[int]) -> Fraction:
             merged_dens.append(dens[-1])
         nums, dens = merged_nums, merged_dens
     return Fraction(nums[0], dens[0]) if nums else Fraction(0)
+
+
+def _pair_products(xs: list[int]) -> list[int]:
+    """xs[0]*xs[1], xs[2]*xs[3], ..., then an odd last element as it is."""
+    return [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1 :]
+
+
+def _product(factors: Iterable[int]) -> int:
+    """The product of ``factors`` (1 when empty), multiplied tree-style."""
+    factors = list(factors)
+    while len(factors) > 1:
+        factors = _pair_products(factors)
+    return factors[0] if factors else 1
+
+
+def _sum_coprime(nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """Unreduced (numerator, denominator) of the sum of nums[i] / dens[i],
+    for pairwise coprime dens[i] > 0, merging neighbours tree-style.
+
+    The lcm of coprime denominators is their product, so every merge is
+    n1*d2 + n2*d1 over d1*d2 and runs no gcd.
+    """
+    while len(nums) > 1:
+        nums = [
+            n1 * d2 + n2 * d1
+            for n1, n2, d1, d2 in zip(nums[::2], nums[1::2], dens[::2], dens[1::2])
+        ] + nums[len(nums) & ~1 :]
+        dens = _pair_products(dens)
+    return (nums[0], dens[0]) if nums else (0, 1)
 
 
 def sum_fractions(items: Iterable[Fraction]) -> Fraction:

@@ -6,6 +6,8 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergspace import UNIT_DISC, norm_sq
 from bergspace import primes
@@ -21,7 +23,7 @@ from bergspace.primes import (
     tail_sum,
     twin_prime_norm_partial,
 )
-from bergspace.rational import PiRational, sum_fractions
+from bergspace.rational import PiRational, sum_fractions, sum_reciprocals
 
 from conftest import oracle_is_prime, oracle_prime_factors
 
@@ -154,6 +156,14 @@ def test_euler_product_examples():
     assert euler_product_smooth(make_partition(7, 7)) == Fraction(15, 4)
 
 
+def test_euler_product_matches_per_prime_product():
+    expected = Fraction(1)
+    for pk in range(2, 2004):
+        if oracle_is_prime(pk):
+            assert euler_product_smooth(make_partition(pk, pk)) == expected
+            expected *= Fraction(pk, pk - 1)
+
+
 def test_euler_product_majorizes_partial_sums():
     part = make_partition(7, 7)
     product = euler_product_smooth(part)
@@ -176,6 +186,39 @@ def test_tail_sum_examples():
     assert float(tail_sum(make_partition(11, 30))) < 1
     assert tail_sum(make_partition(3, 3)) == Fraction(1, 3)
     assert tail_sum(make_partition(2, 1)) == 0
+
+
+@pytest.mark.parametrize("pk,limit", [(2, 2), (2, 5000), (29, 10_000), (97, 20_000)])
+def test_tail_sum_matches_reciprocal_sum(pk, limit):
+    part = make_partition(pk, limit)
+    assert tail_sum(part) == sum_reciprocals(part.p2)
+
+
+def harmonic_reference(n):
+    return sum_reciprocals(range(1, n + 1))
+
+
+def test_harmonic_small_n():
+    for n in range(601):
+        assert primes._harmonic(n) == harmonic_reference(n)
+    assert primes._harmonic(-3) == 0
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 101) if oracle_is_prime(p)])
+def test_harmonic_around_prime_squares(p):
+    # isqrt(n) steps at p^2, moving p from the big primes to the small ones
+    for n in (p * p - 1, p * p, p * p + 1):
+        assert primes._harmonic(n) == harmonic_reference(n)
+
+
+def test_harmonic_at_step_one_size():
+    assert primes._harmonic(30049) == harmonic_reference(30049)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(0, 40_000))
+def test_harmonic_matches_reciprocal_sum(n):
+    assert primes._harmonic(n) == harmonic_reference(n)
 
 
 def test_bertrand_witness_examples():

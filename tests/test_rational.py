@@ -1,11 +1,18 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergspace.rational import GaussianRational, PiRational, sum_fractions, sum_reciprocals
+from bergspace.rational import (
+    GaussianRational,
+    PiRational,
+    _product,
+    _sum_coprime,
+    sum_fractions,
+    sum_reciprocals,
+)
 
 
 def test_gaussian_arithmetic():
@@ -137,6 +144,42 @@ def test_sum_reciprocals_matches_fold(dens):
     assert_reduced(total)
 
 
+SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def coprime_terms(draw):
+    """Signed numerators of mixed sizes over pairwise coprime denominators:
+    products of disjoint runs of distinct primes, where an empty run is 1."""
+    primes = draw(st.permutations(SMALL_PRIMES))
+    cuts = sorted(draw(st.lists(st.integers(0, len(primes)), max_size=40)))
+    dens = [prod(primes[a:b]) for a, b in zip([0, *cuts], cuts)]
+    nums = draw(
+        st.lists(
+            st.one_of(st.integers(-30, 30), st.integers(-(10**50), 10**50)),
+            min_size=len(dens),
+            max_size=len(dens),
+        )
+    )
+    return nums, dens
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=coprime_terms())
+def test_sum_coprime_matches_fold(terms):
+    nums, dens = terms
+    num, den = _sum_coprime(nums, dens)
+    assert den == prod(dens)
+    assert Fraction(num, den) == sum(map(Fraction, nums, dens), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=st.lists(st.integers(-(10**30), 10**30), max_size=60))
+def test_product_matches_fold(factors):
+    assert _product(factors) == prod(factors)
+    assert _product(iter(factors)) == prod(factors)
+
+
 def test_sums_of_nothing_and_of_one_term():
     cases = [
         (sum_fractions([]), 0),
@@ -147,10 +190,15 @@ def test_sums_of_nothing_and_of_one_term():
         # generators are read once
         (sum_fractions(Fraction(1, d) for d in (2, 3, 6)), 1),
         (sum_reciprocals(d for d in (2, 3, 6)), 1),
+        (Fraction(*_sum_coprime([], [])), 0),
+        (Fraction(*_sum_coprime([-6], [35])), Fraction(-6, 35)),
+        (Fraction(*_sum_coprime([4], [1])), 4),
     ]
     for total, expected in cases:
         assert total == expected
         assert_reduced(total)
+    assert _product([]) == 1
+    assert _product([-7]) == -7
 
 
 def test_sum_reciprocals_rejects_a_zero_denominator():
