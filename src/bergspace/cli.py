@@ -1,10 +1,12 @@
 """Command-line interface.
 
 One command per process; every report is written to stdout in a single
-atomic write, diagnostics go to stderr. Exit codes: 0 success, 2 malformed
-input or usage (including a sieve limit past primes.SIEVE_LIMIT_CAP), 3 a
-mathematical hypothesis check failed (e.g. the prime tail sum was not
-below 1). A float rendering that overflows prints null.
+atomic write, diagnostics go to stderr. Reports are indented JSON and sweeps
+are CSV. Exact values print as [numerator, denominator] pairs with a float
+beside them at 15 significant digits, or null where that float overflows.
+Exit codes: 0 success, 2 malformed input or usage (including a sieve limit
+past primes.SIEVE_LIMIT_CAP), 3 a mathematical hypothesis check failed (e.g.
+the prime tail sum was not below 1).
 
 Usage examples:
 
@@ -118,10 +120,7 @@ def parse_poly(text: str) -> Polynomial:
     parts = [p for p in (chunk.strip() for chunk in text.split(",")) if p]
     if not parts:
         raise UsageError("empty polynomial")
-    try:
-        return Polynomial([parse_coefficient(p) for p in parts])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return Polynomial([parse_coefficient(p) for p in parts])
 
 
 def parse_grid(text: str) -> QuadratureGrid:
@@ -146,20 +145,20 @@ def parse_range(text: str) -> tuple[int, int]:
 # -- rendering ---------------------------------------------------------------
 
 
-def render_float(value, digits: int) -> float | None:
-    """float(value) to ``digits`` significant digits, or None (JSON null)
-    when it overflows; the report's exact pair still carries the value."""
+def render_float(value) -> float | None:
+    """float(value) to 15 significant digits, or None (JSON null) when it
+    overflows; the report's exact pair still carries the value."""
     try:
-        rounded = float(f"{float(value):.{digits}g}")
+        rounded = float(f"{float(value):.15g}")
     except OverflowError:
         return None
     return rounded if math.isfinite(rounded) else None
 
 
-def pi_report(value: PiRational, digits: int) -> dict:
+def pi_report(value: PiRational) -> dict:
     out = value.to_json()
     if value.is_real:
-        out["float"] = render_float(value, digits)
+        out["float"] = render_float(value)
     return out
 
 
@@ -167,57 +166,37 @@ def fraction_json(q: Fraction) -> list[int]:
     return [q.numerator, q.denominator]
 
 
-def _flatten(prefix: str, value, row: dict) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else k, v, row)
-    elif isinstance(value, (list, tuple)):
-        row[prefix] = json.dumps(value)
-    else:
-        row[prefix] = value
-
-
-def emit(report: dict, fmt: str) -> str:
-    if fmt == "csv":
-        import csv
-
-        row: dict = {}
-        _flatten("", report, row)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(row)
-        return buf.getvalue()
+def emit(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_norm(args, fmt: str, digits: int) -> str:
+def _cmd_norm(args) -> str:
     from .series import Disc, norm_sq
 
     series = parse_series(args.series)
     value = norm_sq(series, Disc(parse_rational(args.radius)))
-    return emit(pi_report(value, digits), fmt)
+    return emit(pi_report(value))
 
 
-def _cmd_inner(args, fmt: str, digits: int) -> str:
+def _cmd_inner(args) -> str:
     from .series import Disc, inner_product
 
     f = parse_series(args.f)
     g = parse_series(args.g)
     value = inner_product(f, g, Disc(parse_rational(args.radius)))
-    return emit(pi_report(value, digits), fmt)
+    return emit(pi_report(value))
 
 
-def _cmd_fta_cert(args, fmt: str, digits: int) -> str:
+def _cmd_fta_cert(args) -> str:
     from . import fta
 
     poly = parse_poly(args.poly)
     grid = parse_grid(args.grid) if args.grid else fta.QuadratureGrid()
     report = fta.root_disc_certificate(poly, grid)
-    return emit(report.to_json(), fmt)
+    return emit(report.to_json())
 
 
 def _prime_sum(kind: str, n: int) -> PiRational:
@@ -232,16 +211,16 @@ def _prime_sum(kind: str, n: int) -> PiRational:
     return primes.prime_norm_partial(n)
 
 
-def _cmd_primes_sum(args, fmt: str, digits: int) -> str:
+def _cmd_primes_sum(args) -> str:
     kind = args.primes_command
     if kind != "bertrand":
-        return emit(pi_report(_prime_sum(kind, args.limit), digits), fmt)
+        return emit(pi_report(_prime_sum(kind, args.limit)))
     value = _prime_sum(kind, args.n)
-    report = {"n": args.n, **pi_report(value, digits), "prime_found": not value.is_zero}
-    return emit(report, fmt)
+    report = {"n": args.n, **pi_report(value), "prime_found": not value.is_zero}
+    return emit(report)
 
 
-def _cmd_primes_euler(args, fmt: str, digits: int) -> str:
+def _cmd_primes_euler(args) -> str:
     from . import primes
 
     part = primes.make_partition(args.pk, max(args.pk - 1, 0))
@@ -249,12 +228,12 @@ def _cmd_primes_euler(args, fmt: str, digits: int) -> str:
     report = {
         "pk": args.pk,
         "product": fraction_json(product),
-        "float": render_float(product, digits),
+        "float": render_float(product),
     }
-    return emit(report, fmt)
+    return emit(report)
 
 
-def _cmd_decompose_geometric(args, fmt: str, digits: int) -> str:
+def _cmd_decompose_geometric(args) -> str:
     from . import decomposition
 
     report = decomposition.geometric_partition(args.pk, args.degree)
@@ -272,10 +251,10 @@ def _cmd_decompose_geometric(args, fmt: str, digits: int) -> str:
         out["block_summary"] = [
             {"label": b.label, "size": len(b.series)} for b in report.blocks
         ]
-    return emit(out, fmt)
+    return emit(out)
 
 
-def _cmd_decompose_rough(args, fmt: str, digits: int) -> str:
+def _cmd_decompose_rough(args) -> str:
     from . import decomposition
 
     report = decomposition.rough_dedup(args.pk, args.degree, args.degree)
@@ -293,10 +272,10 @@ def _cmd_decompose_rough(args, fmt: str, digits: int) -> str:
         out["g_blocks"] = [[l, g.to_json()["terms"]] for l, g in report.g_blocks]
     else:
         out["g_block_sizes"] = [[l, len(g)] for l, g in report.g_blocks]
-    return emit(out, fmt)
+    return emit(out)
 
 
-def _cmd_decompose_tail(args, fmt: str, digits: int) -> str:
+def _cmd_decompose_tail(args) -> str:
     from . import decomposition, primes
 
     part = primes.make_partition(args.pk, args.p2_limit)
@@ -306,12 +285,12 @@ def _cmd_decompose_tail(args, fmt: str, digits: int) -> str:
         "p2_limit": args.p2_limit,
         "terms": bound.terms,
         "tail": fraction_json(bound.tail),
-        "tail_float": render_float(bound.tail, digits),
+        "tail_float": render_float(bound.tail),
         "geometric_bound": fraction_json(bound.geometric_bound),
         "partial_sum": fraction_json(bound.partial_sum),
         "holds": bound.holds,
     }
-    return emit(out, fmt)
+    return emit(out)
 
 
 def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
@@ -333,9 +312,7 @@ def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
     return sorted(set(values))
 
 
-def _cmd_sweep(args, fmt: str, digits: int) -> str:
-    if getattr(args, "format", "csv") != "csv":
-        raise UsageError("sweeps write CSV only; --format json applies to reports")
+def _cmd_sweep(args) -> str:
     import csv
 
     lo, hi = parse_range(args.range)
@@ -346,7 +323,7 @@ def _cmd_sweep(args, fmt: str, digits: int) -> str:
     for n in _log_spaced(lo, hi, args.points):
         value = _prime_sum(args.target, n)
         q = value.coefficient
-        row = [n, q.numerator, q.denominator, render_float(value, digits)]
+        row = [n, q.numerator, q.denominator, render_float(value)]
         writer.writerow(row + [not value.is_zero] * bertrand)
     return buf.getvalue()
 
@@ -365,74 +342,56 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Shared flags use SUPPRESS so a leaf parser's default never clobbers a
-    # value parsed before the subcommand; dispatch reads them via getattr.
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format", choices=["json", "csv"], default=argparse.SUPPRESS, help="report format"
-    )
-    common.add_argument(
-        "--float-digits",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="significant digits for float rendering",
-    )
-
-    parser = _Parser(
-        prog="bergspace",
-        description=__doc__.splitlines()[0],
-        parents=[common],
-        allow_abbrev=False,
-    )
+    parser = _Parser(prog="bergspace", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", parents=[common], help="exact Bergman norm^2 of a series on a disc")
+    p = sub.add_parser("norm", help="exact Bergman norm^2 of a series on a disc")
     p.add_argument("--series", required=True, help='terms "coeff@exp,..."')
     p.add_argument("--radius", default="1", help="disc radius (rational)")
     p.set_defaults(handler=_cmd_norm)
 
-    p = sub.add_parser("inner", parents=[common], help="exact inner product of two series on a disc")
+    p = sub.add_parser("inner", help="exact inner product of two series on a disc")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--radius", default="1")
     p.set_defaults(handler=_cmd_inner)
 
-    p = sub.add_parser("fta-cert", parents=[common], help="certified root-containing disc for a polynomial")
+    p = sub.add_parser("fta-cert", help="certified root-containing disc for a polynomial")
     p.add_argument("--poly", required=True, help='coefficients "a0,a1,...,an"')
     p.add_argument("--grid", help="quadrature grid NRxNT")
     p.set_defaults(handler=_cmd_fta_cert)
 
     p = sub.add_parser("primes", help="prime series norms and witnesses")
     psub = p.add_subparsers(dest="primes_command", required=True)
-    q = psub.add_parser("norm", parents=[common], help="pi * sum 1/(p+1) over primes <= limit")
+    q = psub.add_parser("norm", help="pi * sum 1/(p+1) over primes <= limit")
     q.add_argument("--limit", type=int, required=True)
     q.set_defaults(handler=_cmd_primes_sum)
-    q = psub.add_parser("twins", parents=[common], help="pi * sum 1/(p+1) over twin primes <= limit")
+    q = psub.add_parser("twins", help="pi * sum 1/(p+1) over twin primes <= limit")
     q.add_argument("--limit", type=int, required=True)
     q.set_defaults(handler=_cmd_primes_sum)
-    q = psub.add_parser("bertrand", parents=[common], help="exact witness for a prime in (N, 2N]")
+    q = psub.add_parser("bertrand", help="exact witness for a prime in (N, 2N]")
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(handler=_cmd_primes_sum)
-    q = psub.add_parser("euler", parents=[common], help="prod 1/(1-1/p) over primes below pk")
+    q = psub.add_parser("euler", help="prod 1/(1-1/p) over primes below pk")
     q.add_argument("--pk", type=int, required=True)
     q.set_defaults(handler=_cmd_primes_euler)
 
     p = sub.add_parser("decompose", help="orthogonal monomial decompositions")
     dsub = p.add_subparsers(dest="decompose_command", required=True)
-    q = dsub.add_parser("geometric", parents=[common], help="partition of 1 + z + ... + z^D")
+    q = dsub.add_parser("geometric", help="partition of 1 + z + ... + z^D")
     q.add_argument("--pk", type=int, required=True)
     q.add_argument("--degree", type=int, required=True)
     q.set_defaults(handler=_cmd_decompose_geometric)
-    q = dsub.add_parser("rough", parents=[common], help="deduplicated decomposition of the rough series")
+    q = dsub.add_parser("rough", help="deduplicated decomposition of the rough series")
     q.add_argument("--pk", type=int, required=True)
     q.add_argument("--degree", type=int, required=True)
     q.set_defaults(handler=_cmd_decompose_rough)
-    q = dsub.add_parser("tail", parents=[common], help="geometric majorant for rough reciprocals")
+    q = dsub.add_parser("tail", help="geometric majorant for rough reciprocals")
     q.add_argument("--pk", type=int, required=True)
     q.add_argument("--p2-limit", type=int, dest="p2_limit", required=True)
     q.set_defaults(handler=_cmd_decompose_tail)
 
-    p = sub.add_parser("sweep", parents=[common], help="CSV sweep over a parameter range")
+    p = sub.add_parser("sweep", help="CSV sweep over a parameter range")
     p.add_argument("target", choices=["primes-norm", "twins", "bertrand"])
     p.add_argument("--range", required=True, help="START..STOP inclusive")
     p.add_argument("--points", type=int, help="log-spaced sample count (default: every integer)")
@@ -448,17 +407,11 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        digits = getattr(args, "float_digits", 15)
-        if not 1 <= digits <= 30:
-            raise UsageError(f"float_digits must be in [1, 30], got {digits}")
-        output = args.handler(args, getattr(args, "format", "json"), digits)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        output = args.handler(args)
     except TailNotSmall as exc:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return 3
-    except (BergspaceError, ValueError, OverflowError) as exc:
+    except (UsageError, BergspaceError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import _EXPORTS
 from ._record import Record
-from .errors import PartitionViolation, TailNotSmall
+from .errors import OutOfRange, PartitionViolation, TailNotSmall
 from .primes import (
     PrimePartition,
     _harmonic,
@@ -280,10 +280,12 @@ class RoughTailBound(Record):
 def rough_tail_geometric_bound(part: PrimePartition, terms: int) -> RoughTailBound:
     """Compare sum of 1/l over rough l <= terms with the geometric majorant.
 
-    Requires terms <= p2_limit so that every prime factor that can occur in
-    a rough l <= terms contributes to the tail sum; raises TailNotSmall when
-    the tail sum is >= 1 and the majorant does not exist.
+    Requires 0 <= terms <= p2_limit so that every prime factor that can
+    occur in a rough l <= terms contributes to the tail sum; raises
+    TailNotSmall when the tail sum is >= 1 and the majorant does not exist.
     """
+    if terms < 0:
+        raise OutOfRange(f"terms must be >= 0, got {terms}")
     if terms > part.p2_limit:
         raise ValueError(
             f"terms {terms} exceeds p2_limit {part.p2_limit}: tail sum incomplete"
@@ -292,5 +294,5 @@ def rough_tail_geometric_bound(part: PrimePartition, terms: int) -> RoughTailBou
     if s >= 1:
         raise TailNotSmall(s)
     geometric = s / (1 - s)
-    partial = sum_reciprocals(rough_numbers(part, max(terms, 1)))
+    partial = sum_reciprocals(rough_numbers(part, terms))
     return RoughTailBound(s, geometric, partial, terms, partial <= geometric)

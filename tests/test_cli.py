@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -174,6 +175,7 @@ def test_usage_error_exit_code(capsys):
     for argv in (
         ("norm", "--series", "oops"),
         ("primes", "norm", "--limit", "not-a-number"),
+        # there are no presentation flags
         ("--float-digits", "0", "primes", "norm", "--limit", "10"),
         ("primes", "norm", "--limit", "10", "--float-digits", "31"),
         ("--format", "xml", "primes", "norm", "--limit", "10"),
@@ -186,8 +188,9 @@ def test_usage_error_exit_code(capsys):
         ("sweep", "bertrand", "--range", "1..3", "--format", "json"),
         ("--format", "json", "sweep", "twins", "--range", "1..3"),
         ("decompose", "rough", "--pk", "3", "--degree", "100", "--p2-limit", "200"),
-        # the tail's partial sum always runs to p2_limit
+        # the tail's partial sum always runs to p2_limit, which is >= 0
         ("decompose", "tail", "--pk", "29", "--p2-limit", "100", "--terms", "50"),
+        ("decompose", "tail", "--pk", "29", "--p2-limit", "-5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -213,11 +216,11 @@ def test_float_overflow_renders_null(capsys):
 
 
 def test_render_float_is_null_past_the_float_range():
-    assert cli.render_float(Fraction(10**400), 15) is None
-    assert cli.render_float(-PiRational(Fraction(10**400)), 15) is None
-    # finite before rounding, infinite after it
-    assert cli.render_float(Fraction(17976931348623157, 10**16) * 10**308, 1) is None
-    assert cli.render_float(Fraction(1, 3), 3) == 0.333
+    assert cli.render_float(Fraction(10**400)) is None
+    assert cli.render_float(-PiRational(Fraction(10**400))) is None
+    # finite before rounding to 15 digits, infinite after it
+    assert cli.render_float(Fraction(17976931348623157, 10**16) * 10**308) is None
+    assert cli.render_float(Fraction(1, 3)) == 0.333333333333333
 
 
 def test_quadrature_float_overflow_is_input_error(capsys):
@@ -308,7 +311,7 @@ def test_sweep_bertrand_all_true(capsys):
     ],
 )
 def test_sweep_rows_match_single_point_reports(capsys, target, command, flag, range_text):
-    code, out, _ = run_cli(capsys, "--format", "csv", "sweep", target, "--range", range_text)
+    code, out, _ = run_cli(capsys, "sweep", target, "--range", range_text)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     lo, hi = map(int, range_text.split(".."))
@@ -374,32 +377,22 @@ def test_pi_report_round_trip(capsys):
     assert reparsed == prime_norm_partial(97)
 
 
-def test_float_rendering_is_presentation_only(capsys):
-    code_a, out_a, _ = run_cli(capsys, "primes", "norm", "--limit", "1000")
-    code_b, out_b, _ = run_cli(
-        capsys, "primes", "norm", "--limit", "1000", "--float-digits", "3"
-    )
-    assert code_a == code_b == 0
-    a, b = json.loads(out_a), json.loads(out_b)
-    assert a["pi_coeff"] == b["pi_coeff"]
-    a.pop("float"), b.pop("float")
-    assert a == b
-    # the shared flags read the same before and after the subcommand
-    _, before, _ = run_cli(capsys, "--float-digits", "2", "primes", "norm", "--limit", "10")
-    _, after, _ = run_cli(capsys, "primes", "norm", "--limit", "10", "--float-digits", "2")
-    assert before == after
-    assert json.loads(before)["float"] == 2.7
-
-
-def test_csv_format_flag(capsys):
-    code, out, _ = run_cli(capsys, "--format", "csv", "primes", "norm", "--limit", "10")
-    assert code == 0
-    header, row = out.strip().splitlines()
-    assert header == "pi_coeff,float"
-    assert row.startswith('"[7, 8]"')
-
-
 # -- settings come from flags only -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flag", [("--format", "csv"), ("--format", "json"), ("--float-digits", "3")]
+)
+@pytest.mark.parametrize(
+    "command", [("primes", "norm", "--limit", "10"), ("sweep", "twins", "--range", "1..3")]
+)
+def test_presentation_flags_do_not_exist(capsys, flag, command):
+    # reports are always JSON, sweeps always CSV, floats always 15 digits
+    for argv in ((*flag, *command), (*command, *flag)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert not out
+        assert err.startswith("error:")
 
 
 def test_config_file_and_environment_are_not_read(monkeypatch, capsys):
@@ -413,9 +406,11 @@ def test_config_file_and_environment_are_not_read(monkeypatch, capsys):
     assert json.loads(out)["float"] == 2.74889357189107
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_docstring_examples_are_the_readme_commands(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```\n")[1]
+    block = README.read_text().split("## Command line", 1)[1].split("```\n")[1]
     commands = [line for line in block.splitlines() if line.strip()]
     examples = [
         line.strip() for line in cli.__doc__.splitlines() if line.strip().startswith("bergspace ")
@@ -424,6 +419,22 @@ def test_docstring_examples_are_the_readme_commands(capsys):
     for command in commands:
         code, _, err = run_cli(capsys, *shlex.split(command)[1:])
         assert code == 0, (command, err)
+
+
+def option_strings(parser):
+    """Every option string of ``parser`` and of its subcommands' parsers."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action.choices, dict):
+            for subparser in action.choices.values():
+                yield from option_strings(subparser)
+
+
+def test_readme_flags_are_parser_flags():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert named
+    assert named - set(option_strings(cli.build_parser())) == set()
 
 
 # -- start-up path -----------------------------------------------------------

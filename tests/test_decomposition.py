@@ -11,7 +11,7 @@ from bergspace.decomposition import (
     step_one_norm_bound,
     step_two_norm_bound,
 )
-from bergspace.errors import PartitionViolation, TailNotSmall
+from bergspace.errors import OutOfRange, PartitionViolation, TailNotSmall
 from bergspace.primes import PrimePartition, make_partition, rough_numbers
 from bergspace.rational import PiRational, sum_fractions
 from bergspace.series import compose_power, truncate
@@ -277,3 +277,10 @@ def test_rough_tail_requires_complete_prime_range():
     part = make_partition(11, 100)
     with pytest.raises(ValueError):
         rough_tail_geometric_bound(part, 1_000)
+
+
+def test_rough_tail_refuses_negative_terms():
+    part = make_partition(11, 100)
+    with pytest.raises(OutOfRange, match="terms must be >= 0, got -7"):
+        rough_tail_geometric_bound(part, -7)
+    assert rough_tail_geometric_bound(part, 0).partial_sum == 0

@@ -1,8 +1,11 @@
-"""Byte identity of the rough decomposition's outputs.
+"""Byte identity of the rough decomposition's outputs and the README's
+commands.
 
-The digests were taken from the code that proved the norm chain with
-Fraction sums and comparisons. The integer chain check must leave every
-report, and so every repr and every CLI byte, exactly as it was.
+The rough decomposition's digests were taken from the code that proved the
+norm chain with Fraction sums and comparisons. The integer chain check must
+leave every report, and so every repr and every CLI byte, exactly as it was.
+The README digest was taken while the CLI still had ``--format`` and
+``--float-digits``; their defaults are now the only output.
 """
 
 import hashlib
@@ -38,3 +41,28 @@ def test_step_two_norm_bound_repr():
 def test_rough_dedup_repr():
     report = rough_dedup(7, 2016, 2016)
     assert sha256(repr(report)) == "ed067f2c366afc34f402583d1237425cc25fbf346f092323613e4457e2fb524c"
+
+
+# The README's "Command line" examples, less fta-cert: its float quadrature
+# depends on numpy's summation order.
+README_COMMANDS = (
+    ("norm", "--series", "1@0,1@1", "--radius", "1"),
+    ("inner", "--f", "1@2", "--g", "1@2,1/2@3", "--radius", "1/2"),
+    ("primes", "norm", "--limit", "10000"),
+    ("primes", "bertrand", "--n", "42"),
+    ("primes", "twins", "--limit", "10000"),
+    ("primes", "euler", "--pk", "7"),
+    ("decompose", "geometric", "--pk", "3", "--degree", "8"),
+    ("decompose", "rough", "--pk", "3", "--degree", "100"),
+    ("decompose", "tail", "--pk", "29", "--p2-limit", "10000"),
+    ("sweep", "primes-norm", "--range", "10..100000", "--points", "5"),
+    ("sweep", "bertrand", "--range", "1..100"),
+)
+
+
+def test_readme_commands_stdout(capsys):
+    stdout = ""
+    for argv in README_COMMANDS:
+        assert dispatch(list(argv)) == 0, argv
+        stdout += capsys.readouterr().out
+    assert sha256(stdout) == "6e74047b0306713fafd93a2fd8e3e37dfcca7f7d86dc4def62d6815d26afa937"
