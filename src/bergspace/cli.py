@@ -333,6 +333,8 @@ def _cmd_sweep(args) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        # every sub-parser is a _Parser too, so none reads "--lim" as "--limit"
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         # no flag starts "-<digit>": read "-2..3" as a value, as CPython 3.13 does
         self._negative_number_matcher = re.compile(r"-\.?\d")
@@ -342,7 +344,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bergspace", description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser = _Parser(prog="bergspace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm", help="exact Bergman norm^2 of a series on a disc")

@@ -101,13 +101,22 @@ def geometric_partition(pk: int, degree: int) -> PartitionReport:
 
     coverage: dict[int, str] = {}
     for block, exponents in layout:
-        for e in exponents:
-            if e in coverage:
-                raise PartitionViolation(e, [coverage[e], block.label])
-            coverage[e] = block.label
-    for e in range(degree + 1):
-        if e not in coverage:
-            raise PartitionViolation(e, [])
+        claimed = dict.fromkeys(exponents, block.label)
+        # a repeat inside the block shrinks ``claimed``; an overlap meets an
+        # earlier block; either way, walk the block to name the exponent
+        if len(claimed) < len(exponents) or not coverage.keys().isdisjoint(claimed):
+            for e in exponents:
+                if e in coverage:
+                    raise PartitionViolation(e, [coverage[e], block.label])
+                coverage[e] = block.label
+        coverage.update(claimed)
+    # distinct ints from 0 to degree, degree + 1 of them, are exactly 0..degree
+    if len(coverage) != degree + 1 or min(coverage) != 0 or max(coverage) != degree:
+        for e in range(degree + 1):
+            if e not in coverage:
+                raise PartitionViolation(e, [])
+        e = next(e for e in coverage if not 0 <= e <= degree)
+        raise PartitionViolation(e, [coverage[e]])
     return PartitionReport(pk, degree, tuple(block for block, _ in layout), coverage)
 
 
@@ -189,17 +198,21 @@ def _chain_holds(l: int, g: list[int], h: list[int], q_exps: list[int]) -> bool:
     )
 
 
-def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
-    """Greedy deduplicated decomposition of the rough-number series.
+def _dedup_exponents(
+    pk: int, degree: int, p2_limit: int
+) -> tuple[list[int], tuple[int, ...], list[tuple[int, list[int]]]]:
+    """The checked greedy decomposition F_D = Q + sum G_l, on exponent lists.
 
-    Walks the rough numbers l in increasing order; H_l is the l-fold dilate
-    of Q truncated at ``degree``, and G_l keeps only monomials not already
-    claimed by Q or an earlier G. For every l it proves the chain
-    ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 by integer checks that imply it
-    (a sub-list check and a termwise inequality, see ``_chain_holds``),
-    raising ArithmeticError if one fails; ||H_l||^2 itself is kept exact for
-    the report. Then one exact coverage check: every rough number up to
-    ``degree`` is claimed by Q or some G_l, or PartitionViolation is raised.
+    Returns the rough numbers up to ``degree``, Q's exponents and (l, G_l's
+    exponents) for each rough l <= degree // pk, in increasing l. H_l is the
+    l-fold dilate of Q truncated at ``degree``, and G_l keeps only monomials
+    not already claimed by Q or an earlier G. For every l it proves the
+    chain ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 by integer checks that
+    imply it (see ``_chain_holds``), raising ArithmeticError if one fails.
+    Then one exact coverage check: every rough number up to ``degree`` is
+    claimed by Q or some G_l, or PartitionViolation is raised. Past
+    l = degree // pk, H_l and G_l are empty and the chain is
+    0 <= 0 <= (2/l) ||Q||^2.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -212,26 +225,35 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
     q_exps = part.p2[: bisect_right(part.p2, degree)]
     seen = set(q_exps)
 
-    g_blocks: list[tuple[int, SparseSeries]] = []
-    h_norms: list[tuple[int, PiRational]] = []
-    # past l = degree // pk, H_l and G_l are empty and the chain is 0 <= 0 <= (2/l) ||Q||^2
-    split = bisect_right(rough, degree // pk)
-    for l in rough[:split]:
+    g_lists: list[tuple[int, list[int]]] = []
+    for l in rough[: bisect_right(rough, degree // pk)]:
         h = _dilate(l, q_exps, degree)
         g = [e for e in h if e not in seen]
         seen.update(g)
         if not _chain_holds(l, g, h, q_exps):
             raise ArithmeticError(f"norm chain violated at l = {l}")
-        g_blocks.append((l, SparseSeries.from_exponents(g, degree_bound=degree)))
-        h_norms.append((l, _unit_norm_sq(h)))
-    empty, zero = SparseSeries.zero(degree), PiRational()
-    g_blocks += [(l, empty) for l in rough[split:]]
-    h_norms += [(l, zero) for l in rough[split:]]
+        g_lists.append((l, g))
 
-    for n in rough:
-        if n not in seen:
-            raise PartitionViolation(n, [])
-    q = SparseSeries.from_exponents(q_exps, degree_bound=degree)
+    if not seen.issuperset(rough):
+        raise PartitionViolation(next(n for n in rough if n not in seen), [])
+    return rough, q_exps, g_lists
+
+
+def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
+    """Greedy deduplicated decomposition of the rough-number series.
+
+    The blocks and checks are ``_dedup_exponents``'s; the report adds the
+    exact ||H_l||^2 of every l, and the shared empty G_l and zero norm of
+    each rough l past degree // pk.
+    """
+    rough, q_exps, g_lists = _dedup_exponents(pk, degree, p2_limit)
+    rest = rough[len(g_lists) :]
+    empty, zero = SparseSeries.zero(degree), PiRational()
+    g_blocks = [(l, SparseSeries.from_exponents(g, degree)) for l, g in g_lists]
+    h_norms = [(l, _unit_norm_sq(_dilate(l, q_exps, degree))) for l, _ in g_lists]
+    g_blocks += [(l, empty) for l in rest]
+    h_norms += [(l, zero) for l in rest]
+    q = SparseSeries.from_exponents(q_exps, degree)
     return DedupReport(pk, degree, p2_limit, q, tuple(g_blocks), tuple(h_norms))
 
 
@@ -253,12 +275,11 @@ class StepTwoBound(Record):
 
 
 def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
-    report = rough_dedup(pk, degree, p2_limit)
-    q_norm = _unit_norm_sq(report.q_block.support)
-    g_recip = sum_reciprocals([e + 1 for _, g in report.g_blocks for e in g.support])
+    rough, q_exps, g_lists = _dedup_exponents(pk, degree, p2_limit)
+    q_norm = _unit_norm_sq(q_exps)
+    g_recip = sum_reciprocals([e + 1 for _, g in g_lists for e in g])
     f_norm = PiRational(sum_fractions([q_norm.coefficient, g_recip]))
-    # g_blocks holds one entry per rough l <= degree
-    rough_recip = sum_reciprocals([l for l, _ in report.g_blocks])
+    rough_recip = sum_reciprocals(rough)
     bound = q_norm * (2 * (1 + rough_recip))
     return StepTwoBound(pk, degree, p2_limit, f_norm, q_norm, bound, f_norm <= bound)
 

@@ -116,6 +116,8 @@ def twin_prime_norm_partial(limit: int) -> PiRational:
     """pi * sum 1/(p+1) over primes p <= limit with p+2 also prime."""
     if limit < 0:
         raise OutOfRange(f"limit must be >= 0, got {limit}")
+    if limit > SIEVE_LIMIT_CAP - 2:
+        raise OutOfRange(f"limit must be <= {SIEVE_LIMIT_CAP - 2}, got {limit}")
     # p + 2 <= limit + 2 is prime exactly when it follows p in the list
     primes = _primes_up_to(limit + 2)
     terms = [p + 1 for p, q in itertools.pairwise(primes) if q == p + 2]
@@ -135,6 +137,8 @@ def bertrand_witness(n: int) -> BertrandWitness:
     """
     if n < 1:
         raise OutOfRange(f"Bertrand index must be >= 1, got {n}")
+    if n > SIEVE_LIMIT_CAP // 2:
+        raise OutOfRange(f"Bertrand index must be <= {SIEVE_LIMIT_CAP // 2}, got {n}")
     value = PiRational(_recip_succ_window(n, 2 * n))
     return BertrandWitness(value, not value.is_zero)
 

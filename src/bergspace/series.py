@@ -101,8 +101,23 @@ class SparseSeries:
 
     @staticmethod
     def from_exponents(exponents, degree_bound: int | None = None) -> SparseSeries:
-        """0/1 series with the given exponent set."""
-        return SparseSeries(dict.fromkeys(exponents, GAUSSIAN_ONE), degree_bound)
+        """0/1 series with the given exponent set.
+
+        The set is checked once, in bulk: plain int exponents within
+        0..degree_bound. Anything else takes the general constructor, which
+        accepts or refuses it exponent by exponent.
+        """
+        coeffs = dict.fromkeys(exponents, GAUSSIAN_ONE)
+        if not (
+            set(map(type, coeffs)) <= {int}
+            and min(coeffs, default=0) >= 0
+            and (degree_bound is None or max(coeffs, default=0) <= degree_bound)
+        ):
+            return SparseSeries(coeffs, degree_bound)
+        series = object.__new__(SparseSeries)
+        series._coeffs = coeffs
+        series._degree_bound = degree_bound
+        return series
 
     # -- inspection --------------------------------------------------------
 

@@ -246,6 +246,36 @@ def test_sieve_past_the_cap_is_input_error(capsys, argv):
     assert err == f"error: sieve limit {limit} exceeds the cap {primes.SIEVE_LIMIT_CAP}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("primes", "twins", "--limit", "99999999"), "limit must be <= 99999998, got 99999999"),
+        (("primes", "bertrand", "--n", "50000001"),
+         "Bertrand index must be <= 50000000, got 50000001"),
+    ],
+)
+def test_twins_and_bertrand_past_the_cap_name_their_argument(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("primes", "norm", "--lim", "10"),
+        ("decompose", "tail", "--pk", "29", "--p2", "100"),
+        ("inner", "--f", "1@0", "--g", "1@0", "--rad", "2"),
+    ],
+)
+def test_leaf_parsers_refuse_abbreviated_flags(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:")
+
+
 def test_decompose_tail_emits_large_exact_rationals(capsys):
     # desk-scale tail sums exceed 4300 digits; the report must still be
     # exact JSON integers and reparse to the library's own values

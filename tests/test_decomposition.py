@@ -87,6 +87,16 @@ def test_partition_coverage_check_catches_a_wrong_rough_set(monkeypatch, corrupt
     assert info.value.exponent == exponent
 
 
+def test_partition_coverage_check_catches_a_repeat_inside_one_block(monkeypatch):
+    # the F(z) series collapses the repeat; the check must not
+    monkeypatch.setattr(
+        decomposition, "rough_numbers", lambda part, limit: sorted(rough_numbers(part, limit) + [7])
+    )
+    with pytest.raises(PartitionViolation) as info:
+        geometric_partition(5, 30)
+    assert (info.value.exponent, info.value.labels) == (7, ["F(z)", "F(z)"])
+
+
 # -- geometric-series norm bound -------------------------------------------------
 
 
@@ -235,6 +245,21 @@ def test_step_two_holds(pk, degree):
         sum_fractions([Fraction(1, n + 1) for n in rough_numbers(part, degree)])
     )
     assert record.f_norm_sq == direct
+
+
+@pytest.mark.parametrize("pk", [2, 3, 5, 7, 29])
+@pytest.mark.parametrize("degree", [1, "pk", 100, 1000])
+def test_step_two_matches_the_dedup_report(pk, degree):
+    degree = pk if degree == "pk" else degree
+    record = step_two_norm_bound(pk, degree, degree)
+    report = rough_dedup(pk, degree, degree)
+    q_norm = norm_sq(report.q_block)
+    f_norm = q_norm + sum((norm_sq(g) for _, g in report.g_blocks), PiRational())
+    rough_recip = sum((Fraction(1, l) for l, _ in report.g_blocks), Fraction(0))
+    assert record.q_norm_sq == q_norm
+    assert record.f_norm_sq == f_norm
+    assert record.bound == q_norm * (2 * (1 + rough_recip))
+    assert record.holds == (f_norm <= record.bound)
 
 
 # -- rough tail geometric bound --------------------------------------------------

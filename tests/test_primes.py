@@ -72,6 +72,34 @@ def test_sieve_cache_stops_at_the_cap(monkeypatch):
     assert primes._cache[0] == 1000
 
 
+@pytest.mark.parametrize(
+    "call, bound, message",
+    [
+        (twin_prime_norm_partial, primes.SIEVE_LIMIT_CAP - 2, "limit must be <= {}, got {}"),
+        (lambda n: bertrand_witness(n).value, primes.SIEVE_LIMIT_CAP // 2,
+         "Bertrand index must be <= {}, got {}"),
+    ],
+)
+def test_twins_and_bertrand_refuse_past_their_own_bound(monkeypatch, call, bound, message):
+    # a stub sieve records the limit asked for instead of sieving to 10^8
+    asked = []
+
+    def stub_sieved(limit):
+        assert limit <= primes.SIEVE_LIMIT_CAP
+        asked.append(limit)
+        return [2, 3, 5, 7]
+
+    monkeypatch.setattr(primes, "_sieved", stub_sieved)
+    monkeypatch.setattr(primes, "_last_window", primes._last_window)
+    call(bound)
+    assert asked[-1] == primes.SIEVE_LIMIT_CAP
+    asked.clear()
+    with pytest.raises(OutOfRange) as info:
+        call(bound + 1)
+    assert str(info.value) == message.format(bound, bound + 1)
+    assert not asked
+
+
 def test_prime_series_examples():
     assert prime_series(4).support == (2, 3)
     assert prime_series(4).degree_bound == 4

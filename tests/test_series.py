@@ -46,6 +46,43 @@ def test_invalid_exponents_rejected():
         SparseSeries({5: 1}, degree_bound=3)
 
 
+@pytest.mark.parametrize(
+    "exponents, bound",
+    [([1.0], None), ([3, -1], None), ([0, 5], 3), ([0], -1), ([], -1)],
+)
+def test_from_exponents_refuses_as_the_general_constructor(exponents, bound):
+    with pytest.raises(ValueError) as general:
+        SparseSeries({e: 1 for e in exponents}, bound)
+    with pytest.raises(ValueError) as bulk:
+        SparseSeries.from_exponents(exponents, bound)
+    assert str(bulk.value) == str(general.value)
+
+
+@pytest.mark.parametrize(
+    "exponents, bound",
+    [([], None), ([], 0), ([0, 2, 2, 7], 7), ([True, 3], None), (range(5), 4), ((9, 1), None)],
+)
+def test_from_exponents_accepts_as_the_general_constructor(exponents, bound):
+    bulk = SparseSeries.from_exponents(exponents, bound)
+    assert bulk == SparseSeries({e: 1 for e in exponents}, bound)
+    assert repr(bulk) == repr(SparseSeries({e: 1 for e in exponents}, bound))
+
+
+def test_from_exponents_coerces_no_coefficient(monkeypatch):
+    calls = []
+    original = GaussianRational.of
+
+    def counting_of(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(GaussianRational, "of", staticmethod(counting_of))
+    f = SparseSeries.from_exponents(range(10**4))
+    assert not calls
+    assert f.support == tuple(range(10**4))
+    assert f.coefficient(1234) == GaussianRational(1)
+
+
 def test_equality_is_structural():
     assert SparseSeries({1: 1, 2: 1}) == SparseSeries({2: 1, 1: 1})
     assert SparseSeries({1: 1}) != SparseSeries({1: 1}, degree_bound=4)
