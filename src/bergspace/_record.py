@@ -1,13 +1,13 @@
 """Read-only slots records: the package's values and reports.
 
 A ``Record`` subclass names its fields, in order, in ``__slots__``.
-``Record`` takes them positionally or by keyword (``_defaults`` fills the
-ones left out), renders them as ``Name(field=value, ...)``, and compares
-and hashes them field by field. A record equals only a record of its own
-class, never a tuple. Every slot is read-only once ``__init__`` has set it
-through ``set_field``; copies and pickles are rebuilt through ``__init__``,
-so a subclass that writes its own ``__init__`` keeps taking the fields in
-slot order.
+``Record`` takes every one of them, positionally or by keyword, renders
+them as ``Name(field=value, ...)``, and compares and hashes them field by
+field. A record equals only a record of its own class, never a tuple.
+Every slot is read-only once ``__init__`` has set it through
+``set_field``; copies and pickles are rebuilt through ``__init__``, so a
+subclass that writes its own ``__init__`` keeps taking the fields in slot
+order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ set_field = object.__setattr__
 
 class Record:
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -26,12 +25,9 @@ class Record:
         for name, value in zip(names, args):
             set_field(self, name, value)
         for name in names[len(args):]:
-            if name in kwargs:
-                set_field(self, name, kwargs.pop(name))
-            elif name in self._defaults:
-                set_field(self, name, self._defaults[name])
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{type(self).__name__} missing field {name!r}")
+            set_field(self, name, kwargs.pop(name))
         if kwargs:
             raise TypeError(f"{type(self).__name__} got unexpected or repeated {sorted(kwargs)}")
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain, count
+from operator import eq
 
 from . import _EXPORTS
 from ._record import Record
@@ -54,11 +56,15 @@ class Block(Record):
 class PartitionReport(Record):
     """Monomial partition of 1 + z + ... + z^degree into orthogonal blocks."""
 
-    __slots__ = ("pk", "degree", "blocks", "coverage")
+    __slots__ = ("pk", "degree", "blocks")
     pk: int
     degree: int
     blocks: tuple[Block, ...]
-    coverage: dict[int, str]
+
+    @property
+    def coverage(self) -> dict[int, str]:
+        """Each exponent 0..degree, mapped to the label of its one block."""
+        return {e: b.label for b in self.blocks for e in b.series.support}
 
     def block_sum(self) -> SparseSeries:
         total = SparseSeries.zero(self.degree)
@@ -76,48 +82,41 @@ def _dilate(l: int, exps: list[int], degree: int) -> list[int]:
 def geometric_partition(pk: int, degree: int) -> PartitionReport:
     """Partition the exponents 0..degree into 1, z, F(z), z^k and F(z^k) blocks.
 
-    The one exact check: every exponent in 0..degree lies in exactly one
-    block. Every block is a 0/1 series, so this alone proves that the
-    blocks sum to 1 + z + ... + z^degree. A failure raises
-    PartitionViolation; that would be a bug, and it is surfaced rather
-    than repaired.
+    The one exact check: the sorted exponents of all blocks together are
+    exactly 0..degree, so every exponent lies in exactly one block. Every
+    block is a 0/1 series, so this alone proves that the blocks sum to
+    1 + z + ... + z^degree. A failure raises PartitionViolation; that would
+    be a bug, and it is surfaced rather than repaired.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree)
     rough = rough_numbers(part, degree)
 
-    layout: list[tuple[Block, list[int]]] = [
-        (Block("1", SparseSeries.monomial(0)), [0]),
-        (Block("z", SparseSeries.monomial(1)), [1]),
-        (Block("F(z)", SparseSeries.from_exponents(rough, degree_bound=degree)), rough),
-    ]
+    # (label, exponents, degree_bound): the monomials are exact, F's dilates truncated
+    layout = [("1", [0], None), ("z", [1], None), ("F(z)", rough, degree)]
     for k in smooth_numbers(part, degree):
-        shifted = _dilate(k, rough, degree)
-        layout.append((Block(f"z^{k}", SparseSeries.monomial(k)), [k]))
-        layout.append(
-            (Block(f"F(z^{k})", SparseSeries.from_exponents(shifted, degree_bound=degree)), shifted)
-        )
-
-    coverage: dict[int, str] = {}
-    for block, exponents in layout:
-        claimed = dict.fromkeys(exponents, block.label)
-        # a repeat inside the block shrinks ``claimed``; an overlap meets an
-        # earlier block; either way, walk the block to name the exponent
-        if len(claimed) < len(exponents) or not coverage.keys().isdisjoint(claimed):
+        layout += [(f"z^{k}", [k], None), (f"F(z^{k})", _dilate(k, rough, degree), degree)]
+    blocks = tuple(
+        Block(label, SparseSeries.from_exponents(exponents, bound))
+        for label, exponents, bound in layout
+    )
+    covered = sorted(chain.from_iterable(exps for _, exps, _ in layout))
+    if len(covered) != degree + 1 or not all(map(eq, covered, count())):
+        # name the fault: a repeat or overlap in block order, else the
+        # smallest missing exponent, else one outside 0..degree
+        seen: dict[int, str] = {}
+        for label, exponents, _ in layout:
             for e in exponents:
-                if e in coverage:
-                    raise PartitionViolation(e, [coverage[e], block.label])
-                coverage[e] = block.label
-        coverage.update(claimed)
-    # distinct ints from 0 to degree, degree + 1 of them, are exactly 0..degree
-    if len(coverage) != degree + 1 or min(coverage) != 0 or max(coverage) != degree:
+                if e in seen:
+                    raise PartitionViolation(e, [seen[e], label])
+                seen[e] = label
         for e in range(degree + 1):
-            if e not in coverage:
+            if e not in seen:
                 raise PartitionViolation(e, [])
-        e = next(e for e in coverage if not 0 <= e <= degree)
-        raise PartitionViolation(e, [coverage[e]])
-    return PartitionReport(pk, degree, tuple(block for block, _ in layout), coverage)
+        e = next(e for e in seen if not 0 <= e <= degree)
+        raise PartitionViolation(e, [seen[e]])
+    return PartitionReport(pk, degree, blocks)
 
 
 class StepOneBound(Record):
@@ -200,19 +199,21 @@ def _chain_holds(l: int, g: list[int], h: list[int], q_exps: list[int]) -> bool:
 
 def _dedup_exponents(
     pk: int, degree: int, p2_limit: int
-) -> tuple[list[int], tuple[int, ...], list[tuple[int, list[int]]]]:
+) -> tuple[list[int], tuple[int, ...], list[tuple[int, list[int], list[int]]]]:
     """The checked greedy decomposition F_D = Q + sum G_l, on exponent lists.
 
     Returns the rough numbers up to ``degree``, Q's exponents and (l, G_l's
-    exponents) for each rough l <= degree // pk, in increasing l. H_l is the
-    l-fold dilate of Q truncated at ``degree``, and G_l keeps only monomials
-    not already claimed by Q or an earlier G. For every l it proves the
-    chain ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 by integer checks that
-    imply it (see ``_chain_holds``), raising ArithmeticError if one fails.
+    exponents, H_l's exponents) for each rough l <= degree // pk, in
+    increasing l. H_l is the l-fold dilate of Q truncated at ``degree``, and
+    G_l keeps only monomials not already claimed by Q or an earlier G. For
+    every l it proves the chain ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 by
+    integer checks that imply it (see ``_chain_holds``), raising
+    ArithmeticError if one fails.
     Then one exact coverage check: every rough number up to ``degree`` is
     claimed by Q or some G_l, or PartitionViolation is raised. Past
     l = degree // pk, H_l and G_l are empty and the chain is
-    0 <= 0 <= (2/l) ||Q||^2.
+    0 <= 0 <= (2/l) ||Q||^2. Q needs only the primes up to ``degree``, so
+    any ``p2_limit`` >= ``degree`` gives the same lists.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -220,19 +221,19 @@ def _dedup_exponents(
         raise ValueError(
             f"p2_limit {p2_limit} < degree {degree}: Q would be incomplete"
         )
-    part = make_partition(pk, p2_limit)
+    part = make_partition(pk, degree)
     rough = rough_numbers(part, degree)
     q_exps = part.p2[: bisect_right(part.p2, degree)]
     seen = set(q_exps)
 
-    g_lists: list[tuple[int, list[int]]] = []
+    g_lists: list[tuple[int, list[int], list[int]]] = []
     for l in rough[: bisect_right(rough, degree // pk)]:
         h = _dilate(l, q_exps, degree)
         g = [e for e in h if e not in seen]
         seen.update(g)
         if not _chain_holds(l, g, h, q_exps):
             raise ArithmeticError(f"norm chain violated at l = {l}")
-        g_lists.append((l, g))
+        g_lists.append((l, g, h))
 
     if not seen.issuperset(rough):
         raise PartitionViolation(next(n for n in rough if n not in seen), [])
@@ -243,14 +244,14 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
     """Greedy deduplicated decomposition of the rough-number series.
 
     The blocks and checks are ``_dedup_exponents``'s; the report adds the
-    exact ||H_l||^2 of every l, and the shared empty G_l and zero norm of
-    each rough l past degree // pk.
+    exact ||H_l||^2 of every l, from the H_l it built, and the shared empty
+    G_l and zero norm of each rough l past degree // pk.
     """
     rough, q_exps, g_lists = _dedup_exponents(pk, degree, p2_limit)
     rest = rough[len(g_lists) :]
     empty, zero = SparseSeries.zero(degree), PiRational()
-    g_blocks = [(l, SparseSeries.from_exponents(g, degree)) for l, g in g_lists]
-    h_norms = [(l, _unit_norm_sq(_dilate(l, q_exps, degree))) for l, _ in g_lists]
+    g_blocks = [(l, SparseSeries.from_exponents(g, degree)) for l, g, _ in g_lists]
+    h_norms = [(l, _unit_norm_sq(h)) for l, _, h in g_lists]
     g_blocks += [(l, empty) for l in rest]
     h_norms += [(l, zero) for l in rest]
     q = SparseSeries.from_exponents(q_exps, degree)
@@ -277,7 +278,7 @@ class StepTwoBound(Record):
 def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
     rough, q_exps, g_lists = _dedup_exponents(pk, degree, p2_limit)
     q_norm = _unit_norm_sq(q_exps)
-    g_recip = sum_reciprocals([e + 1 for _, g in g_lists for e in g])
+    g_recip = sum_reciprocals([e + 1 for _, g, _ in g_lists for e in g])
     f_norm = PiRational(sum_fractions([q_norm.coefficient, g_recip]))
     rough_recip = sum_reciprocals(rough)
     bound = q_norm * (2 * (1 + rough_recip))

@@ -251,7 +251,7 @@ class CertificateReport(Record):
     """
 
     __slots__ = ("r0", "annulus_bound", "inner_integral", "m_constant", "certified_radius",
-                 "grid_spec", "root_witness", "comment")
+                 "grid_spec", "root_witness")
     r0: Fraction
     annulus_bound: float
     inner_integral: float | None
@@ -259,8 +259,6 @@ class CertificateReport(Record):
     certified_radius: float
     grid_spec: QuadratureGrid
     root_witness: complex | None
-    comment: str
-    _defaults = {"root_witness": None, "comment": BOUND_COMMENT}
 
     def to_json(self) -> dict:
         return {
@@ -273,7 +271,7 @@ class CertificateReport(Record):
             "root_witness": None
             if self.root_witness is None
             else [self.root_witness.real, self.root_witness.imag],
-            "comment": self.comment,
+            "comment": BOUND_COMMENT,
         }
 
 
@@ -285,16 +283,8 @@ def root_disc_certificate(poly: Polynomial, grid: QuadratureGrid | None = None) 
     try:
         inner = inner_disc_l2(poly, r0, grid)
     except NearZeroDetected as witness:
-        return CertificateReport(
-            r0,
-            annulus,
-            None,
-            None,
-            abs(witness.point),
-            grid,
-            root_witness=witness.point,
-        )
+        return CertificateReport(r0, annulus, None, None, abs(witness.point), grid, witness.point)
     m_constant = inner + annulus
     a0_modulus = math.sqrt(float(poly.constant_term.abs_sq()))
     certified = a0_modulus * math.sqrt(m_constant / math.pi)
-    return CertificateReport(r0, annulus, inner, m_constant, certified, grid)
+    return CertificateReport(r0, annulus, inner, m_constant, certified, grid, None)

@@ -97,7 +97,7 @@ class SparseSeries:
     @staticmethod
     def geometric(degree: int) -> SparseSeries:
         """1 + z + ... + z^degree, the degree-D truncation of 1/(1-z)."""
-        return SparseSeries({n: 1 for n in range(degree + 1)}, degree_bound=degree)
+        return SparseSeries.from_exponents(range(degree + 1), degree)
 
     @staticmethod
     def from_exponents(exponents, degree_bound: int | None = None) -> SparseSeries:

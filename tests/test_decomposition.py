@@ -1,9 +1,10 @@
+import hashlib
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
-from bergspace import SparseSeries, UNIT_DISC, decomposition, norm_sq
+from bergspace import SparseSeries, UNIT_DISC, decomposition, norm_sq, primes
 from bergspace.decomposition import (
     geometric_partition,
     rough_dedup,
@@ -12,7 +13,7 @@ from bergspace.decomposition import (
     step_two_norm_bound,
 )
 from bergspace.errors import OutOfRange, PartitionViolation, TailNotSmall
-from bergspace.primes import PrimePartition, make_partition, rough_numbers
+from bergspace.primes import PrimePartition, make_partition, rough_numbers, smooth_numbers
 from bergspace.rational import PiRational, sum_fractions
 from bergspace.series import compose_power, truncate
 
@@ -72,19 +73,55 @@ def test_partition_parseval():
 
 
 @pytest.mark.parametrize(
-    "corrupt, exponent",
+    "patched, corrupt, exponent, labels",
     [
-        (lambda rough: rough[1:], 3),  # rough exponent 3 dropped: uncovered
-        (lambda rough: sorted(rough + [4]), 4),  # smooth 4 added: covered twice
+        # rough exponent 3 dropped: uncovered
+        (rough_numbers, lambda rough: rough[1:], 3, []),
+        # smooth 4 added to F: covered by F(z) and by z^4
+        (rough_numbers, lambda rough: sorted(rough + [4]), 4, ["F(z)", "z^4"]),
+        # 5 replaced by 7: the repeat is named before the gap at 5
+        (rough_numbers, lambda rough: sorted(7 if e == 5 else e for e in rough), 7, ["F(z)", "F(z)"]),
+        # a smooth k past the degree: the z^64 block lies outside 0..50
+        (smooth_numbers, lambda smooth: smooth + [64], 64, ["z^64"]),
     ],
+    ids=["rough-gap", "rough-overlap", "rough-repeat-and-gap", "smooth-past-degree"],
 )
-def test_partition_coverage_check_catches_a_wrong_rough_set(monkeypatch, corrupt, exponent):
+def test_partition_coverage_check_catches_a_wrong_rough_set(
+    monkeypatch, patched, corrupt, exponent, labels
+):
     monkeypatch.setattr(
-        decomposition, "rough_numbers", lambda part, limit: corrupt(rough_numbers(part, limit))
+        decomposition, patched.__name__, lambda part, limit: corrupt(patched(part, limit))
     )
     with pytest.raises(PartitionViolation) as info:
         geometric_partition(3, 50)
-    assert info.value.exponent == exponent
+    assert (info.value.exponent, info.value.labels) == (exponent, labels)
+
+
+def test_partition_rough_exponent_past_the_degree_is_refused_by_the_block(monkeypatch):
+    monkeypatch.setattr(
+        decomposition, "rough_numbers", lambda part, limit: rough_numbers(part, limit) + [64]
+    )
+    with pytest.raises(ValueError, match="exponent 64 exceeds degree_bound 50"):
+        geometric_partition(3, 50)
+
+
+# pk -> sha256 of repr([sorted(coverage.items()) for D in COVERAGE_DEGREES]),
+# frozen from the code that stored the exponent -> label map in the report
+COVERAGE_DEGREES = (1, 2, 3, 8, 50, 129, 1000)
+COVERAGE_DIGESTS = {
+    2: "0ff3635a34a20fe0f211dcb4516f94ff1040db1ac351274721c0dd33bec0b1e4",
+    3: "6ae3dc88b5b660dbf36fe8e395b69f55d864f38f5bdb02c6edb68281069a093d",
+    5: "d505ad157a9b41047c24e160c92a71cfd1dc6005f375339dba445384e9456f4b",
+    7: "c5dedb875ef98def622c307d92eae64b6440aac6a800882fabda5944d90468e0",
+    11: "5a2ed17626573e0168b5d3287fa7569c481e6b1463a0741a24216acb80c01ed1",
+    29: "ab8d82bebfd18643dcabb48cec1e91e20dccbe82801cc37ca79c1b9cbf2d3806",
+}
+
+
+@pytest.mark.parametrize("pk", sorted(COVERAGE_DIGESTS))
+def test_partition_coverage_map_frozen(pk):
+    maps = [sorted(geometric_partition(pk, d).coverage.items()) for d in COVERAGE_DEGREES]
+    assert hashlib.sha256(repr(maps).encode()).hexdigest() == COVERAGE_DIGESTS[pk]
 
 
 def test_partition_coverage_check_catches_a_repeat_inside_one_block(monkeypatch):
@@ -148,6 +185,19 @@ def test_dedup_pk3_degree15_l3():
 def test_dedup_requires_complete_q():
     with pytest.raises(ValueError):
         rough_dedup(3, 10, 9)
+
+
+@pytest.mark.parametrize("build", [rough_dedup, step_two_norm_bound])
+def test_dedup_sieves_to_the_degree_not_to_p2_limit(monkeypatch, build):
+    # Q holds the primes up to the degree, so a larger p2_limit changes only
+    # the field that records it, and must not grow the sieve
+    monkeypatch.setattr(primes, "_cache", (1, []))
+    far, near = build(3, 100, 10**9), build(3, 100, 100)
+    assert far.p2_limit == 10**9
+    for name in far.__slots__:
+        if name != "p2_limit":
+            assert getattr(far, name) == getattr(near, name), name
+    assert primes._cache[0] < 10**4
 
 
 @pytest.mark.parametrize("pk,degree", [(2, 50), (3, 100), (5, 100), (11, 200)])

@@ -60,12 +60,24 @@ def test_from_exponents_refuses_as_the_general_constructor(exponents, bound):
 
 @pytest.mark.parametrize(
     "exponents, bound",
-    [([], None), ([], 0), ([0, 2, 2, 7], 7), ([True, 3], None), (range(5), 4), ((9, 1), None)],
+    [
+        ([], None),
+        ([], 0),
+        ([0, 2, 2, 7], 7),
+        ([True, 3], None),
+        (range(5), 4),
+        ((9, 1), None),
+        (range(9), 8),
+    ],
 )
 def test_from_exponents_accepts_as_the_general_constructor(exponents, bound):
-    bulk = SparseSeries.from_exponents(exponents, bound)
-    assert bulk == SparseSeries({e: 1 for e in exponents}, bound)
-    assert repr(bulk) == repr(SparseSeries({e: 1 for e in exponents}, bound))
+    general = SparseSeries({e: 1 for e in exponents}, bound)
+    bulk = [SparseSeries.from_exponents(exponents, bound)]
+    if isinstance(exponents, range):  # range(bound + 1): also 1 + z + ... + z^bound
+        bulk.append(SparseSeries.geometric(bound))
+    for series in bulk:
+        assert series == general
+        assert repr(series) == repr(general)
 
 
 def test_from_exponents_coerces_no_coefficient(monkeypatch):
