@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import re
@@ -106,8 +107,6 @@ def parse_series(text: str) -> SparseSeries:
             exponent = int(exp_text)
         except ValueError:
             raise UsageError(f"bad exponent {exp_text!r}") from None
-        if exponent < 0:
-            raise UsageError(f"exponent must be >= 0, got {exponent}")
         c = parse_coefficient(coeff_text)
         coeffs[exponent] = coeffs.get(exponent, GaussianRational()) + c
     return SparseSeries(coeffs)
@@ -118,8 +117,6 @@ def parse_poly(text: str) -> Polynomial:
     from .fta import Polynomial
 
     parts = [p for p in (chunk.strip() for chunk in text.split(",")) if p]
-    if not parts:
-        raise UsageError("empty polynomial")
     return Polynomial([parse_coefficient(p) for p in parts])
 
 
@@ -294,22 +291,18 @@ def _cmd_decompose_tail(args) -> str:
 
 
 def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
-    if points is not None and points < 1:
-        raise UsageError(f"--points must be >= 1, got {points}")
-    if lo > hi:
-        return []
     if points is None:
         return list(range(lo, hi + 1))
+    if points < 1:
+        raise UsageError(f"--points must be >= 1, got {points}")
+    if lo < 1:
+        raise UsageError(f"--points needs --range START >= 1, got {lo}")
+    if lo > hi:
+        return []
     if points == 1:
         return [lo]
-    ratio = hi / lo if lo > 0 else 0
-    values = []
-    for i in range(points):
-        if lo > 0:
-            values.append(round(lo * ratio ** (i / (points - 1))))
-        else:
-            values.append(round(lo + (hi - lo) * i / (points - 1)))
-    return sorted(set(values))
+    ratio = hi / lo
+    return sorted({round(lo * ratio ** (i / (points - 1))) for i in range(points)})
 
 
 def _cmd_sweep(args) -> str:
@@ -338,6 +331,16 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # no flag starts "-<digit>": read "-2..3" as a value, as CPython 3.13 does
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # only flags come before a command, and an unknown one would hand its
+        # value to the command slot ("invalid choice: 'x'"): name the flag
+        if self._subparsers is not None and args:
+            head = itertools.takewhile(lambda a: a.startswith("-") and a != "--", args)
+            unknown = [a for a in head if a not in self._option_string_actions]
+            if unknown:
+                self.error("unrecognized arguments: " + " ".join(unknown))
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise UsageError(message)
@@ -396,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="CSV sweep over a parameter range")
     p.add_argument("target", choices=["primes-norm", "twins", "bertrand"])
     p.add_argument("--range", required=True, help="START..STOP inclusive")
-    p.add_argument("--points", type=int, help="log-spaced sample count (default: every integer)")
+    p.add_argument("--points", type=int,
+                   help="log-spaced sample count, needs START >= 1 (default: every integer)")
     p.set_defaults(handler=_cmd_sweep)
     return parser
 

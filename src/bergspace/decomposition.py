@@ -223,7 +223,7 @@ def _dedup_exponents(
         )
     part = make_partition(pk, degree)
     rough = rough_numbers(part, degree)
-    q_exps = part.p2[: bisect_right(part.p2, degree)]
+    q_exps = part.p2
     seen = set(q_exps)
 
     g_lists: list[tuple[int, list[int], list[int]]] = []

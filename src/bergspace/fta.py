@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-from ._record import Record
+from ._record import Record, set_field
 from .errors import DegreeTooSmall, NearZeroDetected, ZeroConstantTerm
 from .rational import GaussianRational
 from .series import SparseSeries
@@ -50,7 +50,7 @@ BOUND_COMMENT = (
 )
 
 
-class Polynomial:
+class Polynomial(Record):
     """a_0 + a_1 z + ... + a_n z^n with Gaussian-rational coefficients.
 
     The leading coefficient must be nonzero (so the zero polynomial is not
@@ -58,6 +58,7 @@ class Polynomial:
     """
 
     __slots__ = ("coeffs",)
+    coeffs: tuple[GaussianRational, ...]
 
     def __init__(self, coefficients):
         coeffs = tuple(GaussianRational.of(c) for c in coefficients)
@@ -65,7 +66,7 @@ class Polynomial:
             raise ValueError("a polynomial needs at least one coefficient")
         if coeffs[-1].is_zero:
             raise ValueError("leading coefficient must be nonzero")
-        self.coeffs = coeffs
+        set_field(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -78,11 +79,6 @@ class Polynomial:
     @property
     def leading(self) -> GaussianRational:
         return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         return "Polynomial([" + ", ".join(repr(c) for c in self.coeffs) + "])"

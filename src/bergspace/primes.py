@@ -102,7 +102,7 @@ def prime_series(limit: int) -> SparseSeries:
     """sum of z^p over primes p <= limit, truncated at ``limit``."""
     if limit < 0:
         raise OutOfRange(f"limit must be >= 0, got {limit}")
-    return SparseSeries.from_exponents(_primes_up_to(limit), degree_bound=max(limit, 0))
+    return SparseSeries.from_exponents(_primes_up_to(limit), degree_bound=limit)
 
 
 def prime_norm_partial(limit: int) -> PiRational:

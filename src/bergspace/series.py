@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import _EXPORTS
-from ._record import Record
+from ._record import Record, set_field
 from .rational import (
     GAUSSIAN_ONE,
     GaussianLike,
@@ -49,7 +49,7 @@ class Disc(Record):
 UNIT_DISC = Disc(Fraction(1))
 
 
-class SparseSeries:
+class SparseSeries(Record):
     """Finitely many nonzero Gaussian-rational coefficients, indexed by
     nonnegative exponent.
 
@@ -60,6 +60,9 @@ class SparseSeries:
     """
 
     __slots__ = ("_coeffs", "_degree_bound")
+    _coeffs: dict[int, GaussianRational]
+    _degree_bound: int | None
+    __hash__ = None  # the coefficients are a dict
 
     def __init__(
         self,
@@ -81,8 +84,8 @@ class SparseSeries:
                 raise ValueError(
                     f"exponent {max(over)} exceeds degree_bound {degree_bound}"
                 )
-        self._coeffs = coeffs
-        self._degree_bound = degree_bound
+        set_field(self, "_coeffs", coeffs)
+        set_field(self, "_degree_bound", degree_bound)
 
     # -- constructors ------------------------------------------------------
 
@@ -115,8 +118,8 @@ class SparseSeries:
         ):
             return SparseSeries(coeffs, degree_bound)
         series = object.__new__(SparseSeries)
-        series._coeffs = coeffs
-        series._degree_bound = degree_bound
+        set_field(series, "_coeffs", coeffs)
+        set_field(series, "_degree_bound", degree_bound)
         return series
 
     # -- inspection --------------------------------------------------------
@@ -143,11 +146,6 @@ class SparseSeries:
 
     def __len__(self) -> int:
         return len(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs and self._degree_bound == other._degree_bound
 
     def __repr__(self) -> str:
         if self.is_zero:

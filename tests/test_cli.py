@@ -181,6 +181,11 @@ def test_usage_error_exit_code(capsys):
         ("--format", "xml", "primes", "norm", "--limit", "10"),
         ("sweep", "primes-norm", "--range", "10..100", "--points", "0"),
         ("sweep", "primes-norm", "--range", "10..100", "--points", "-3"),
+        # log spacing needs START >= 1
+        ("sweep", "primes-norm", "--range", "0..100", "--points", "5"),
+        # refused by SparseSeries and Polynomial themselves
+        ("norm", "--series", "1@-1"),
+        ("fta-cert", "--poly", ","),
         ("sweep", "bertrand", "--range", "0..3"),
         ("sweep", "twins", "--range", "-2..3"),
         ("sweep", "twins", "--range=-2..3"),
@@ -196,6 +201,22 @@ def test_usage_error_exit_code(capsys):
         assert code == 2, argv
         assert not out
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--config", "x", "primes", "norm", "--limit", "10"), "--config"),
+        (("primes", "--foo", "x", "norm", "--limit", "10"), "--foo"),
+    ],
+    ids=["before-the-command", "before-the-subcommand"],
+)
+def test_unknown_flag_before_a_command_is_named(capsys, argv, flag):
+    # the value after the flag is not read as the command
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err == f"error: unrecognized arguments: {flag}\n"
 
 
 @pytest.mark.parametrize("range_args", [("--range", "-2..3"), ("--range=-2..3",)])

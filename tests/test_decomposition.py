@@ -187,6 +187,21 @@ def test_dedup_requires_complete_q():
         rough_dedup(3, 10, 9)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: geometric_partition(3, d),
+        lambda d: step_one_norm_bound(3, d),
+        lambda d: rough_dedup(3, d, d),
+        lambda d: step_two_norm_bound(3, d, d),
+    ],
+    ids=["geometric", "step-one", "dedup", "step-two"],
+)
+def test_builders_refuse_degree_zero(build):
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        build(0)
+
+
 @pytest.mark.parametrize("build", [rough_dedup, step_two_norm_bound])
 def test_dedup_sieves_to_the_degree_not_to_p2_limit(monkeypatch, build):
     # Q holds the primes up to the degree, so a larger p2_limit changes only

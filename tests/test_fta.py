@@ -59,6 +59,26 @@ def test_reciprocal_requires_nonzero_constant():
         reciprocal_taylor(Polynomial([0, 0, 0, 1]), 4)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: reciprocal_taylor(Polynomial([1, 1]), -1), ValueError,
+         "expansion degree must be >= 0, got -1"),
+        (lambda: bergman_projection_constant(Polynomial([0, 1])), ZeroConstantTerm,
+         "P(0) = 0: 1/P has no Taylor expansion at 0"),
+        (lambda: annulus_l2_bound(Polynomial([1, 0, 1]), Fraction(0)), ValueError,
+         "r0 must be positive, got 0"),
+        (lambda: inner_disc_l2(Polynomial([1, 0, 1]), Fraction(0)), ValueError,
+         "r0 must be positive, got 0"),
+    ],
+    ids=["taylor-degree-1", "projection-P(0)=0", "annulus-r0=0", "inner-disc-r0=0"],
+)
+def test_refuses_inputs_outside_the_domain(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_convolution_identity_random_polynomials():
     rng = random.Random(31)
     for _ in range(15):

@@ -113,6 +113,12 @@ def test_prime_norm_partial_examples():
     assert prime_norm_partial(1).is_zero
 
 
+@pytest.mark.parametrize("call", [prime_series, prime_norm_partial, twin_prime_norm_partial])
+def test_prime_sums_refuse_a_negative_limit(call):
+    with pytest.raises(OutOfRange, match="limit must be >= 0, got -1"):
+        call(-1)
+
+
 @pytest.mark.parametrize("limit", [0, 1, 2, 10, 97, 500, 1000, 9973, 10_000])
 def test_prime_norm_agrees_with_series_norm(limit):
     assert prime_norm_partial(limit) == norm_sq(prime_series(limit), UNIT_DISC)

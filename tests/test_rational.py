@@ -20,6 +20,8 @@ def test_gaussian_arithmetic():
     b = GaussianRational(Fraction(-2), Fraction(1, 3))
     assert a + b == GaussianRational(Fraction(-3, 2), Fraction(13, 12))
     assert a - a == GaussianRational()
+    assert 1 - a == GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+    assert bool(a) and not bool(a - a)
     assert a * GaussianRational.of(2) == GaussianRational(Fraction(1), Fraction(3, 2))
     # (1/2 + 3/4 i)(-2 + 1/3 i) = -1 - 1/4 + (1/6 - 3/2) i
     assert a * b == GaussianRational(Fraction(-5, 4), Fraction(-4, 3))
@@ -32,6 +34,7 @@ def test_gaussian_division_and_conjugate():
     assert (a / a) == GaussianRational.of(1)
     inv = GaussianRational.of(1) / a
     assert inv * a == GaussianRational.of(1)
+    assert 1 / a == inv == GaussianRational(Fraction(3, 25), Fraction(4, 25))
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational()
 

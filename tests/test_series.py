@@ -212,6 +212,8 @@ def test_add_scale_truncate_examples():
     assert truncate(SparseSeries({0: 1, 1: 1, 5: 1}), 3) == SparseSeries(
         {0: 1, 1: 1}, degree_bound=3
     )
+    with pytest.raises(ValueError, match="truncation degree must be >= 0, got -1"):
+        truncate(Z, -1)
 
 
 def test_add_respects_tighter_truncation():

@@ -14,6 +14,7 @@ from bergspace import (
     Disc,
     GaussianRational,
     PiRational,
+    Polynomial,
     QuadratureGrid,
     SparseSeries,
     StepOneBound,
@@ -30,6 +31,10 @@ REPRS = [
     (lambda: Disc(Fraction(3, 2)), "Disc(radius=Fraction(3, 2))"),
     (lambda: Disc(2), "Disc(radius=Fraction(2, 1))"),
     (lambda: QuadratureGrid(), "QuadratureGrid(n_r=512, n_theta=512)"),
+    (lambda: Polynomial([6, -5, GaussianRational(Fraction(1, 2), 1)]),
+     "Polynomial([6, -5, 1/2+1i])"),
+    (lambda: SparseSeries({0: 1, 3: Fraction(1, 2)}, 5), "<(1) + (1/2)z^3 | truncated at 5>"),
+    (lambda: SparseSeries(), "<0>"),
     (lambda: Block("z", SparseSeries.monomial(1)), "Block(label='z', series=<(1)z^1>)"),
     (
         lambda: rough_tail_geometric_bound(make_partition(5, 12), 12),
@@ -56,6 +61,10 @@ VALUES = [
     (lambda: PiRational(Fraction(2, 3)), (Fraction(2, 3), Fraction(0)), "coefficient"),
     (lambda: Disc(Fraction(1, 2)), (Fraction(1, 2),), "radius"),
     (lambda: QuadratureGrid(16, 32), (16, 32), "n_r"),
+    (lambda: Polynomial([1, 0, 2]),
+     ((GaussianRational(1), GaussianRational(0), GaussianRational(2)),), "coeffs"),
+    (lambda: SparseSeries({0: 1, 3: 2}, 5),
+     ({0: GaussianRational(1), 3: GaussianRational(2)}, 5), "_coeffs"),
     (lambda: Block("z", SparseSeries.monomial(1)), ("z", SparseSeries.monomial(1)), "label"),
     (lambda: make_partition(5, 12), (5, (2, 3), 12, (5, 7, 11)), "p2"),
     (
@@ -71,8 +80,12 @@ IDS = [name for _, _, name in VALUES]
 def test_equal_values_hash_alike(make, fields, name):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
-    if name != "label":  # a Block holds a SparseSeries, which is unhashable
+    # a SparseSeries, also inside a Block, is unhashable
+    if name not in ("label", "_coeffs"):
         assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 @pytest.mark.parametrize("make,fields,name", VALUES, ids=IDS)
@@ -105,6 +118,8 @@ def test_differing_fields_compare_unequal():
     assert Disc(1) != Disc(2)
     assert QuadratureGrid(8, 16) != QuadratureGrid(16, 8)
     assert make_partition(5, 12) != make_partition(5, 13)
+    assert Polynomial([1, 2]) != Polynomial([1, 3])
+    assert SparseSeries({1: 1}) != SparseSeries({1: 1}, 1)
 
 
 def test_records_of_different_types_compare_unequal():
@@ -114,12 +129,29 @@ def test_records_of_different_types_compare_unequal():
 
 @pytest.mark.parametrize(
     "make", [lambda: Disc(0), lambda: Disc(Fraction(-1, 2)), lambda: QuadratureGrid(4, 4),
-             lambda: QuadratureGrid(8, 7)],
-    ids=["Disc(0)", "Disc(-1/2)", "QuadratureGrid(4, 4)", "QuadratureGrid(8, 7)"],
+             lambda: QuadratureGrid(8, 7), lambda: Polynomial([]), lambda: Polynomial([1, 0])],
+    ids=["Disc(0)", "Disc(-1/2)", "QuadratureGrid(4, 4)", "QuadratureGrid(8, 7)",
+         "Polynomial([])", "Polynomial([1, 0])"],
 )
 def test_constructor_validation(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Block("z", SparseSeries.monomial(1), "extra"), "Block takes 2 fields, got 3"),
+        (lambda: Block("z"), "Block missing field 'series'"),
+        (lambda: Block("z", SparseSeries.monomial(1), size=1),
+         "Block got unexpected or repeated ['size']"),
+    ],
+    ids=["too-many", "missing", "unexpected"],
+)
+def test_record_fields_are_taken_exactly_once(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_keyword_construction_matches_positional():
@@ -134,6 +166,15 @@ def test_record_fields_match_their_annotations():
     for name in bergspace.__all__:  # loads every module that defines a record
         getattr(bergspace, name)
     records = Record.__subclasses__()
-    assert {GaussianRational, PiRational, Disc} <= set(records)
+    assert {GaussianRational, PiRational, Disc, Polynomial, SparseSeries} <= set(records)
     for cls in records:
         assert tuple(cls.__annotations__) == cls.__slots__, cls.__name__
+
+
+def test_records_compare_only_through_record():
+    from bergspace._record import Record
+
+    for name in bergspace.__all__:
+        getattr(bergspace, name)
+    for cls in Record.__subclasses__():
+        assert "__eq__" not in vars(cls), cls.__name__
