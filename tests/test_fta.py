@@ -71,7 +71,7 @@ def test_reciprocal_requires_nonzero_constant():
         (lambda: inner_disc_l2(Polynomial([1, 0, 1]), Fraction(0)), ValueError,
          "r0 must be positive, got 0"),
     ],
-    ids=["taylor-degree-1", "projection-P(0)=0", "annulus-r0=0", "inner-disc-r0=0"],
+    ids=["taylor-degree=-1", "projection-P(0)=0", "annulus-r0=0", "inner-disc-r0=0"],
 )
 def test_refuses_inputs_outside_the_domain(call, error, message):
     with pytest.raises(error) as info:

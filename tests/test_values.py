@@ -169,12 +169,4 @@ def test_record_fields_match_their_annotations():
     assert {GaussianRational, PiRational, Disc, Polynomial, SparseSeries} <= set(records)
     for cls in records:
         assert tuple(cls.__annotations__) == cls.__slots__, cls.__name__
-
-
-def test_records_compare_only_through_record():
-    from bergspace._record import Record
-
-    for name in bergspace.__all__:
-        getattr(bergspace, name)
-    for cls in Record.__subclasses__():
-        assert "__eq__" not in vars(cls), cls.__name__
+        assert "__eq__" not in vars(cls), cls.__name__  # equality is Record's alone
