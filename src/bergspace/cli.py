@@ -34,6 +34,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -134,9 +135,12 @@ def parse_grid(text: str) -> QuadratureGrid:
 def parse_range(text: str) -> tuple[int, int]:
     try:
         lo_text, hi_text = text.split("..")
-        return int(lo_text), int(hi_text)
+        lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise UsageError(f"bad range {text!r}, expected START..STOP") from None
+    if lo > hi:
+        raise UsageError(f"--range {text} is empty: START must not exceed STOP")
+    return lo, hi
 
 
 # -- rendering ---------------------------------------------------------------
@@ -188,6 +192,9 @@ def _cmd_inner(args) -> str:
 
 
 def _cmd_fta_cert(args) -> str:
+    # the quadrature makes no BLAS call, so numpy's first import (in fta)
+    # need not start OpenBLAS worker threads; a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import fta
 
     poly = parse_poly(args.poly)
@@ -297,8 +304,6 @@ def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
         raise UsageError(f"--points must be >= 1, got {points}")
     if lo < 1:
         raise UsageError(f"--points needs --range START >= 1, got {lo}")
-    if lo > hi:
-        return []
     if points == 1:
         return [lo]
     ratio = hi / lo

@@ -78,8 +78,11 @@ def test_parse_grid_and_range():
     with pytest.raises(UsageError):
         parse_grid("4x4")  # below minimum dimensions
     assert parse_range("10..1000") == (10, 1000)
+    assert parse_range("3..3") == (3, 3)
     with pytest.raises(UsageError):
         parse_range("10-1000")
+    with pytest.raises(UsageError, match=r"^--range 5\.\.3 is empty"):
+        parse_range("5..3")
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -171,6 +174,7 @@ def test_fta_cert_report(capsys):
     assert data["root_witness"] is None
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_usage_error_exit_code(capsys):
     for argv in (
         ("norm", "--series", "oops"),
@@ -196,6 +200,11 @@ def test_usage_error_exit_code(capsys):
         # the tail's partial sum always runs to p2_limit, which is >= 0
         ("decompose", "tail", "--pk", "29", "--p2-limit", "100", "--terms", "50"),
         ("decompose", "tail", "--pk", "29", "--p2-limit", "-5"),
+        # Horner overflows to inf - inf at R0 = 10^201: no NaN certificate
+        ("fta-cert", "--poly", "1,1,1,1,1,1e-200", "--grid", "64x64"),
+        # a reversed range is empty
+        ("sweep", "primes-norm", "--range", "5..3"),
+        ("sweep", "primes-norm", "--range", "5..3", "--points", "3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -409,10 +418,14 @@ def test_prime_sums_look_up_primes_at_call_time(monkeypatch, capsys):
     ]
 
 
-def test_sweep_empty_range_header_only(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "twins", "--range", "5..4")
-    assert code == 0
-    assert out == "parameter,numerator,denominator,float\n"
+def test_sweep_reversed_range_refused_equal_bounds_one_row(capsys):
+    code, out, err = run_cli(capsys, "sweep", "twins", "--range", "5..4")
+    assert (code, out) == (2, "")
+    assert err == "error: --range 5..4 is empty: START must not exceed STOP\n"
+    for points in ((), ("--points", "3")):
+        code, out, _ = run_cli(capsys, "sweep", "twins", "--range", "5..5", *points)
+        assert code == 0
+        assert out.splitlines()[1:] == ["5,5,12,1.30899693899575"]  # pi * 5/12
 
 
 # -- round trips and float rendering ---------------------------------------------
@@ -527,6 +540,25 @@ def test_quadrature_imports_numpy_on_first_use():
     codes, numpy_loaded = run_fresh(["fta-cert", "--poly", "6,-5,1", "--grid", "64x64"])
     assert codes == [0]
     assert numpy_loaded
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_fta_cert_starts_numpy_with_one_blas_thread_unless_set(preset, expected):
+    script = (
+        "import contextlib, io, os, sys\n"
+        "import bergspace.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = bergspace.cli.dispatch(['fta-cert', '--poly', '6,-5,1', '--grid', '8x8'])\n"
+        "print(code, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["0", "True", expected]
 
 
 def modules_added_by(code):

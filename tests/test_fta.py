@@ -1,13 +1,14 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bergspace import SparseSeries, UNIT_DISC, inner_product
-from bergspace.errors import DegreeTooSmall, NearZeroDetected, ZeroConstantTerm
+from bergspace.errors import DegreeTooSmall, NearZeroDetected, OutOfRange, ZeroConstantTerm
 from bergspace.fta import (
     Polynomial,
     QuadratureGrid,
@@ -17,6 +18,7 @@ from bergspace.fta import (
     r0_bound,
     reciprocal_taylor,
     root_disc_certificate,
+    zero_threshold,
 )
 from bergspace.rational import GaussianRational
 
@@ -220,6 +222,78 @@ def test_near_zero_detection_on_grid_node():
     poly = poly_from_roots([node, node.conjugate()])
     with pytest.raises(NearZeroDetected):
         inner_disc_l2(poly, Fraction(4), grid)
+
+
+def one_shot_inner_disc_l2(poly, r0, grid):
+    """The quadrature over the whole grid at once, as it was written before
+    it ran in blocks of rings: the float estimate, or the (point, magnitude)
+    of the first smallest node when that is below the zero threshold."""
+    radius = float(Fraction(r0))
+    mids, widths = grid.radial_cells(radius)
+    theta = (np.arange(grid.n_theta) + 0.5) * (2.0 * math.pi / grid.n_theta)
+    nodes = mids[:, None] * np.exp(1j * theta)[None, :]
+    acc = np.zeros_like(nodes)
+    for c in reversed(poly.coeffs):
+        acc = acc * nodes + complex(c)
+    magnitudes = np.abs(acc)
+    smallest = magnitudes.min()
+    if smallest < zero_threshold(poly):
+        where = np.unravel_index(int(magnitudes.argmin()), magnitudes.shape)
+        return complex(nodes[where]), float(smallest)
+    ring_sums = (magnitudes**-2.0).sum(axis=1)
+    return float((2.0 * math.pi / grid.n_theta) * np.sum(ring_sums * mids * widths))
+
+
+def roots_on_node(grid, radius, ring, angle):
+    """Roots on one grid node and on its conjugate node."""
+    mids, _ = grid.radial_cells(radius)
+    node = mids[ring] * cmath.exp(1j * (angle + 0.5) * 2 * math.pi / grid.n_theta)
+    return poly_from_roots([node, node.conjugate()])
+
+
+@pytest.mark.parametrize(
+    "poly, r0, grid",
+    [
+        (Polynomial([6, -5, 1]), Fraction(24), QuadratureGrid(64, 64)),
+        (Polynomial([1, 2, 3, 4, 5, 6, 7, 8]), Fraction(7, 2), QuadratureGrid(300, 77)),
+        (Polynomial([GaussianRational(Fraction(1, 2), Fraction(3, 4)), 1, 0, 1]), Fraction(5),
+         QuadratureGrid(8, 3 * 2**14)),
+        (roots_on_node(QuadratureGrid(1024, 64), 4.0, 900, 10), Fraction(4),
+         QuadratureGrid(1024, 64)),
+    ],
+    ids=["one-block", "partial-last-block", "one-ring-per-block", "root-on-ring-900"],
+)
+def test_blocked_quadrature_matches_one_shot(poly, r0, grid):
+    expected = one_shot_inner_disc_l2(poly, r0, grid)
+    if isinstance(expected, float):
+        assert inner_disc_l2(poly, r0, grid) == expected
+        return
+    with pytest.raises(NearZeroDetected) as info:
+        inner_disc_l2(poly, r0, grid)
+    assert (info.value.point, info.value.magnitude) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_quadrature_overflow_is_refused():
+    # Horner reaches inf - inf at R0 = 10^201; the one-shot sum was NaN
+    poly = Polynomial([1, 1, 1, 1, 1, Fraction("1e-200")])
+    grid = QuadratureGrid(64, 64)
+    assert math.isnan(one_shot_inner_disc_l2(poly, r0_bound(poly), grid))
+    with pytest.raises(OutOfRange, match=r"float step overflowed .*R0 = 1e\+201"):
+        root_disc_certificate(poly, grid)
+
+
+@pytest.mark.parametrize("n_r", [1024, 4096])
+def test_quadrature_memory_does_not_grow_with_the_grid(n_r):
+    poly = Polynomial([1, 2, 3, 4, 5, 6, 7, 8])
+    inner_disc_l2(poly, Fraction(1), QuadratureGrid(8, 8))  # numpy loaded and warm
+    tracemalloc.start()
+    try:
+        inner_disc_l2(poly, Fraction(1), QuadratureGrid(n_r, 1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- certificates -----------------------------------------------------------------

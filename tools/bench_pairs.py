@@ -109,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            # a host that already caps BLAS threads shows no gain from the
+            # CLI capping them itself
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "platform": platform.platform(),
         },
         "workloads": {},
