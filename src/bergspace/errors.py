@@ -25,7 +25,7 @@ class DegreeTooSmall(BergspaceError):
 
 
 class OutOfRange(BergspaceError):
-    """Integer argument outside the operation's domain (e.g. a Bertrand index n < 1)."""
+    """Input outside the operation's domain (e.g. a Bertrand index n < 1, an overflowing R0)."""
 
 
 class NearZeroDetected(BergspaceError):

@@ -214,14 +214,18 @@ def test_inner_disc_deterministic():
     assert inner_disc_l2(poly, Fraction(2)) == inner_disc_l2(poly, Fraction(2))
 
 
+def roots_on_node(grid, radius, ring, angle):
+    """Roots on one grid node and on its conjugate node."""
+    mids, _ = grid.radial_cells(radius)
+    theta = (angle + 0.5) * 2 * math.pi / grid.n_theta
+    node = mids[ring] * cmath.exp(1j * theta)
+    return poly_from_roots([node, node.conjugate()])
+
+
 def test_near_zero_detection_on_grid_node():
     grid = QuadratureGrid(64, 64)
-    mids, _ = grid.radial_cells(4.0)
-    theta = (10 + 0.5) * 2 * math.pi / grid.n_theta
-    node = mids[40] * cmath.exp(1j * theta)
-    poly = poly_from_roots([node, node.conjugate()])
     with pytest.raises(NearZeroDetected):
-        inner_disc_l2(poly, Fraction(4), grid)
+        inner_disc_l2(roots_on_node(grid, 4.0, 40, 10), Fraction(4), grid)
 
 
 def one_shot_inner_disc_l2(poly, r0, grid):
@@ -242,13 +246,6 @@ def one_shot_inner_disc_l2(poly, r0, grid):
         return complex(nodes[where]), float(smallest)
     ring_sums = (magnitudes**-2.0).sum(axis=1)
     return float((2.0 * math.pi / grid.n_theta) * np.sum(ring_sums * mids * widths))
-
-
-def roots_on_node(grid, radius, ring, angle):
-    """Roots on one grid node and on its conjugate node."""
-    mids, _ = grid.radial_cells(radius)
-    node = mids[ring] * cmath.exp(1j * (angle + 0.5) * 2 * math.pi / grid.n_theta)
-    return poly_from_roots([node, node.conjugate()])
 
 
 @pytest.mark.parametrize(
