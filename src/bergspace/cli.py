@@ -51,6 +51,11 @@ if TYPE_CHECKING:
 
 FULL_LISTING_MAX_DEGREE = 128
 
+BOUND_COMMENT = (
+    "certified by an area-integral argument; classical coefficient bounds "
+    "(Cauchy, Fujiwara) are usually tighter"
+)
+
 
 class UsageError(Exception):
     """Bad input from the user; maps to exit code 2."""
@@ -157,14 +162,20 @@ def render_float(value) -> float | None:
 
 
 def pi_report(value: PiRational) -> dict:
-    out = value.to_json()
+    out = {"pi_coeff": fraction_json(value.coefficient)}
     if value.is_real:
         out["float"] = render_float(value)
+    else:
+        out["pi_coeff_imag"] = fraction_json(value.imag_coefficient)
     return out
 
 
 def fraction_json(q: Fraction) -> list[int]:
     return [q.numerator, q.denominator]
+
+
+def terms_json(series: SparseSeries) -> list:
+    return [[e, c.to_json()] for e, c in series.terms()]
 
 
 def emit(report: dict) -> str:
@@ -200,7 +211,17 @@ def _cmd_fta_cert(args) -> str:
     poly = parse_poly(args.poly)
     grid = parse_grid(args.grid) if args.grid else fta.QuadratureGrid()
     report = fta.root_disc_certificate(poly, grid)
-    return emit(report.to_json())
+    witness = report.root_witness
+    return emit({
+        "r0": fraction_json(report.r0),
+        "annulus_bound": report.annulus_bound,
+        "inner_integral": report.inner_integral,
+        "m_constant": report.m_constant,
+        "certified_radius": report.certified_radius,
+        "grid": f"{grid.n_r}x{grid.n_theta}",
+        "root_witness": None if witness is None else [witness.real, witness.imag],
+        "comment": BOUND_COMMENT,
+    })
 
 
 def _prime_sum(kind: str, n: int) -> PiRational:
@@ -249,7 +270,7 @@ def _cmd_decompose_geometric(args) -> str:
     }
     if args.degree <= FULL_LISTING_MAX_DEGREE:
         out["blocks"] = [
-            {"label": b.label, "terms": b.series.to_json()["terms"]} for b in report.blocks
+            {"label": b.label, "terms": terms_json(b.series)} for b in report.blocks
         ]
     else:
         out["block_summary"] = [
@@ -269,11 +290,11 @@ def _cmd_decompose_rough(args) -> str:
         "coverage": "exact",
         "q_size": len(report.q_block),
         "g_block_count": len(report.g_blocks),
-        "h_norms": [[l, n.to_json()["pi_coeff"]] for l, n in report.h_norms],
+        "h_norms": [[l, fraction_json(n.coefficient)] for l, n in report.h_norms],
     }
     if args.degree <= FULL_LISTING_MAX_DEGREE:
-        out["q_block"] = report.q_block.to_json()["terms"]
-        out["g_blocks"] = [[l, g.to_json()["terms"]] for l, g in report.g_blocks]
+        out["q_block"] = terms_json(report.q_block)
+        out["g_blocks"] = [[l, terms_json(g)] for l, g in report.g_blocks]
     else:
         out["g_block_sizes"] = [[l, len(g)] for l, g in report.g_blocks]
     return emit(out)

@@ -51,10 +51,9 @@ MIN_RADIUS_FRACTION = 1e-6
 # 2^12 ran slower and 2^16 took more memory
 _BLOCK_NODES = 2**14
 
-BOUND_COMMENT = (
-    "certified by an area-integral argument; classical coefficient bounds "
-    "(Cauchy, Fujiwara) are usually tighter"
-)
+# the largest grid, whose blocks and per-ring vectors take a few MB
+MAX_GRID_SIDE = 2**16
+MAX_GRID_NODES = 2**26
 
 
 class Polynomial(Record):
@@ -189,7 +188,7 @@ class QuadratureGrid(Record):
     Radial cells are geometrically graded from radius*MIN_RADIUS_FRACTION
     up to the full radius (plus one innermost cell touching 0), so that a
     single grid resolves integrand structure across many scales; angles are
-    uniform. Both dimensions must be at least 8.
+    uniform. Sides run from 8 to MAX_GRID_SIDE, nodes up to MAX_GRID_NODES.
     """
 
     __slots__ = ("n_r", "n_theta")
@@ -197,12 +196,11 @@ class QuadratureGrid(Record):
     n_theta: int
 
     def __init__(self, n_r: int = 512, n_theta: int = 512):
-        if n_r < 8 or n_theta < 8:
-            raise ValueError(f"grid dimensions must be >= 8, got {n_r}x{n_theta}")
+        if not (8 <= min(n_r, n_theta) and max(n_r, n_theta) <= MAX_GRID_SIDE
+                and n_r * n_theta <= MAX_GRID_NODES):
+            raise ValueError(f"grid {n_r}x{n_theta} needs sides of 8 to {MAX_GRID_SIDE} "
+                             f"and at most {MAX_GRID_NODES} nodes")
         super().__init__(n_r, n_theta)
-
-    def spec_string(self) -> str:
-        return f"{self.n_r}x{self.n_theta}"
 
     def radial_cells(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(midpoints, widths) of the n_r radial cells covering [0, radius]."""
@@ -224,8 +222,8 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
 
     Deterministic for a fixed grid spec. Raises NearZeroDetected if some
     node has |P| below the zero threshold; callers treat that node as a
-    found root, not as a failure. Raises OutOfRange if the estimate is not
-    a finite float.
+    found root, not as a failure. Raises OutOfRange if |P| at some node or
+    the estimate is not a finite float.
     """
     import numpy as np
 
@@ -238,20 +236,24 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
     unit = np.exp(1j * theta)[None, :]
     rows = max(1, _BLOCK_NODES // grid.n_theta)
     ring_sums = np.empty(grid.n_r)
-    # the first smallest |P| in C order, or the first NaN, as ndarray.argmin
+    overflow = f"the float step overflowed on |z| < R0 = {radius:.6g}"
+    # the first smallest |P| in C order, as ndarray.argmin
     smallest, witness = math.inf, None
-    for start in range(0, grid.n_r, rows):
-        nodes = mids[start:start + rows, None] * unit
-        magnitudes = np.abs(poly.evaluate_array(nodes))
-        k = magnitudes.argmin()
-        if not (math.isnan(smallest) or magnitudes.flat[k] >= smallest):
-            smallest, witness = float(magnitudes.flat[k]), complex(nodes.flat[k])
-        ring_sums[start:start + rows] = (magnitudes**-2.0).sum(axis=1)
+    with np.errstate(all="ignore"):
+        for start in range(0, grid.n_r, rows):
+            nodes = mids[start:start + rows, None] * unit
+            magnitudes = np.abs(poly.evaluate_array(nodes))
+            if not math.isfinite(magnitudes.max()):
+                raise OutOfRange(overflow)
+            k = magnitudes.argmin()
+            if magnitudes.flat[k] < smallest:
+                smallest, witness = float(magnitudes.flat[k]), complex(nodes.flat[k])
+            ring_sums[start:start + rows] = (magnitudes**-2.0).sum(axis=1)
+        value = float((2.0 * math.pi / grid.n_theta) * np.sum(ring_sums * mids * widths))
     if smallest < zero_threshold(poly):
         raise NearZeroDetected(witness, smallest)
-    value = float((2.0 * math.pi / grid.n_theta) * np.sum(ring_sums * mids * widths))
     if not math.isfinite(value):
-        raise OutOfRange(f"the float step overflowed on |z| < R0 = {radius:.6g}: got {value}")
+        raise OutOfRange(overflow)
     return value
 
 
@@ -274,20 +276,6 @@ class CertificateReport(Record):
     certified_radius: float
     grid_spec: QuadratureGrid
     root_witness: complex | None
-
-    def to_json(self) -> dict:
-        return {
-            "r0": [self.r0.numerator, self.r0.denominator],
-            "annulus_bound": self.annulus_bound,
-            "inner_integral": self.inner_integral,
-            "m_constant": self.m_constant,
-            "certified_radius": self.certified_radius,
-            "grid": self.grid_spec.spec_string(),
-            "root_witness": None
-            if self.root_witness is None
-            else [self.root_witness.real, self.root_witness.imag],
-            "comment": BOUND_COMMENT,
-        }
 
 
 def root_disc_certificate(poly: Polynomial, grid: QuadratureGrid | None = None) -> CertificateReport:

@@ -281,12 +281,3 @@ class PiRational(Record):
         if self.is_real:
             return f"({self.coefficient})*pi"
         return f"({GaussianRational(self.coefficient, self.imag_coefficient)!r})*pi"
-
-    def to_json(self) -> dict:
-        out = {"pi_coeff": [self.coefficient.numerator, self.coefficient.denominator]}
-        if self.imag_coefficient:
-            out["pi_coeff_imag"] = [
-                self.imag_coefficient.numerator,
-                self.imag_coefficient.denominator,
-            ]
-        return out

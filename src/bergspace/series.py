@@ -163,14 +163,6 @@ class SparseSeries(Record):
     def __add__(self, other: SparseSeries) -> SparseSeries:
         return add(self, other)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [[e, c.to_json()] for e, c in self.terms()],
-            "degree_bound": self._degree_bound,
-        }
-
 
 def _min_bound(a: int | None, b: int | None) -> int | None:
     if a is None:

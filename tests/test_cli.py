@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,6 +110,25 @@ def test_inner_report(capsys):
     code, out, _ = run_cli(capsys, "inner", "--f", "1@2", "--g", "1@2,1/2@3", "--radius", "1/2")
     assert code == 0
     assert json.loads(out)["pi_coeff"] == [1, 192]
+    code, out, _ = run_cli(capsys, "inner", "--f", "i@1", "--g", "1@1")
+    assert code == 0
+    assert json.loads(out) == {"pi_coeff": [0, 1], "pi_coeff_imag": [1, 2]}
+
+
+def test_pi_report_json():
+    real = cli.pi_report(PiRational(Fraction(7, 8)))
+    assert list(real) == ["pi_coeff", "float"]
+    assert real == {"pi_coeff": [7, 8], "float": cli.render_float(PiRational(Fraction(7, 8)))}
+    twisted = cli.pi_report(PiRational(Fraction(1, 3), Fraction(-2, 5)))
+    assert twisted == {"pi_coeff": [1, 3], "pi_coeff_imag": [-2, 5]}
+
+
+def test_terms_json():
+    f = SparseSeries(
+        {0: GaussianRational(Fraction(1, 2), Fraction(-3, 4)), 7: 2}, degree_bound=9
+    )
+    assert cli.terms_json(f) == [[0, [1, 2, -3, 4]], [7, [2, 1, 0, 1]]]
+    assert cli.terms_json(SparseSeries.zero()) == []
 
 
 def test_primes_euler_report(capsys):
@@ -174,7 +194,38 @@ def test_fta_cert_report(capsys):
     assert data["root_witness"] is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_fta_cert_report_shape(capsys):
+    code, out, _ = run_cli(capsys, "fta-cert", "--poly", "6,-5,1", "--grid", "64x64")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == [
+        "r0",
+        "annulus_bound",
+        "inner_integral",
+        "m_constant",
+        "certified_radius",
+        "grid",
+        "root_witness",
+        "comment",
+    ]
+    assert data["grid"] == "64x64"
+    assert data["root_witness"] is None
+    assert data["comment"] == cli.BOUND_COMMENT
+    assert "Cauchy" in data["comment"]
+
+
+@pytest.mark.parametrize("poly", ["1,1,1,1e-250", "1,1,1,1,1,1e-200"])
+def test_float_step_overflow_is_refused_without_warnings(capsys, poly):
+    # numpy's overflow warnings would raise here instead of reaching stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fta-cert", "--poly", poly, "--grid", "64x64")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: the float step overflowed")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     for argv in (
         ("norm", "--series", "oops"),
@@ -202,6 +253,12 @@ def test_usage_error_exit_code(capsys):
         ("decompose", "tail", "--pk", "29", "--p2-limit", "-5"),
         # Horner overflows to inf - inf at R0 = 10^201: no NaN certificate
         ("fta-cert", "--poly", "1,1,1,1,1,1e-200", "--grid", "64x64"),
+        # Horner overflows to inf at R0 = 6e250, where a certified radius 0.0 was false
+        ("fta-cert", "--poly", "1,1,1,1e-250", "--grid", "64x64"),
+        # over the grid caps: 2^16 a side, 2^26 nodes
+        ("fta-cert", "--poly", "6,-5,1", "--grid", "65537x8"),
+        ("fta-cert", "--poly", "6,-5,1", "--grid", "8x65537"),
+        ("fta-cert", "--poly", "6,-5,1", "--grid", "8193x8193"),
         # a reversed range is empty
         ("sweep", "primes-norm", "--range", "5..3"),
         ("sweep", "primes-norm", "--range", "5..3", "--points", "3"),

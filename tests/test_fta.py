@@ -10,6 +10,8 @@ import pytest
 from bergspace import SparseSeries, UNIT_DISC, inner_product
 from bergspace.errors import DegreeTooSmall, NearZeroDetected, OutOfRange, ZeroConstantTerm
 from bergspace.fta import (
+    MAX_GRID_NODES,
+    MAX_GRID_SIDE,
     Polynomial,
     QuadratureGrid,
     annulus_l2_bound,
@@ -209,6 +211,15 @@ def test_inner_disc_grid_refinement():
     assert abs(base - fine) / fine < 1e-4
 
 
+def test_grid_caps():
+    for n_r, n_theta in ((MAX_GRID_SIDE, 8), (8, MAX_GRID_SIDE), (2**13, 2**13),
+                         (MAX_GRID_SIDE, MAX_GRID_NODES // MAX_GRID_SIDE)):
+        QuadratureGrid(n_r, n_theta)
+    for n_r, n_theta in ((7, 8), (MAX_GRID_SIDE + 1, 8), (8, MAX_GRID_SIDE + 1), (2**13 + 1, 2**13)):
+        with pytest.raises(ValueError, match=f"8 to {MAX_GRID_SIDE} and at most {MAX_GRID_NODES} nodes"):
+            QuadratureGrid(n_r, n_theta)
+
+
 def test_inner_disc_deterministic():
     poly = Polynomial([3, 1, 1])
     assert inner_disc_l2(poly, Fraction(2)) == inner_disc_l2(poly, Fraction(2))
@@ -341,21 +352,3 @@ def test_certificate_soundness_random_roots():
         assert report.root_witness is not None or (
             smallest <= report.certified_radius + 1e-6
         )
-
-
-def test_certificate_report_json_shape():
-    report = root_disc_certificate(Polynomial([6, -5, 1]), QuadratureGrid(64, 64))
-    data = report.to_json()
-    assert set(data) == {
-        "r0",
-        "annulus_bound",
-        "inner_integral",
-        "m_constant",
-        "certified_radius",
-        "grid",
-        "root_witness",
-        "comment",
-    }
-    assert data["grid"] == "64x64"
-    assert data["root_witness"] is None
-    assert "Cauchy" in data["comment"]

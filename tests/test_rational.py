@@ -96,13 +96,6 @@ def test_pi_rational_comparisons_take_only_pi_rationals():
                 compare(other, one)
 
 
-def test_pi_rational_json_round_trip():
-    real = PiRational(Fraction(7, 8))
-    assert real.to_json() == {"pi_coeff": [7, 8]}
-    twisted = PiRational(Fraction(1, 3), Fraction(-2, 5))
-    assert twisted.to_json() == {"pi_coeff": [1, 3], "pi_coeff_imag": [-2, 5]}
-
-
 def test_sum_fractions_matches_fold():
     terms = [Fraction(1, n) for n in range(1, 500)]
     assert sum_fractions(terms) == sum(terms)

@@ -338,10 +338,3 @@ def test_random_inner_products_match_oracle():
             assert inner_product(f, g, Disc(radius)) == PiRational(re, im)
 
 
-def test_json_round_trip():
-    f = SparseSeries(
-        {0: GaussianRational(Fraction(1, 2), Fraction(-3, 4)), 7: 2}, degree_bound=9
-    )
-    assert f.to_json() == {"terms": [[0, [1, 2, -3, 4]], [7, [2, 1, 0, 1]]], "degree_bound": 9}
-    g = SparseSeries.zero()
-    assert g.to_json() == {"terms": [], "degree_bound": None}

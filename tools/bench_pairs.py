@@ -10,8 +10,9 @@ own committed ``perfbench/`` against its own ``src/``. Each pair runs
 ``perfbench/run.py --trace 0`` once per side, alternating which side goes
 first; pair i uses seed ``seeds[i % len(seeds)]``. The output holds, per
 workload and end-to-end metric, each side's median and quartiles, the
-change's wins (ties count for neither side), every pair's values, and a
-note on the host the runs were made on.
+change's wins (ties count for neither side), every pair's values, a
+note on the host the runs were made on, and each side's count of ``src/``
+lines.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def export(rev: str, dest: Path) -> str:
     if archive.wait() != 0:
         raise SystemExit(f"git archive {commit} failed")
     return commit
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of every ``src/**/*.py`` in ``tree``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/**/*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -122,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         for side, rev in (("parent", args.parent), ("change", args.change)):
             trees[side].mkdir()
             record[side] = export(rev, trees[side])
+        record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
             for i in range(args.pairs):
