@@ -218,7 +218,7 @@ def _cmd_fta_cert(args) -> str:
         "inner_integral": report.inner_integral,
         "m_constant": report.m_constant,
         "certified_radius": report.certified_radius,
-        "grid": f"{grid.n_r}x{grid.n_theta}",
+        "grid": f"{report.grid_spec.n_r}x{report.grid_spec.n_theta}",
         "root_witness": None if witness is None else [witness.real, witness.imag],
         "comment": BOUND_COMMENT,
     })

@@ -192,12 +192,6 @@ def test_fta_cert_report(capsys):
     assert data["r0"] == [24, 1]
     assert data["certified_radius"] >= 2
     assert data["root_witness"] is None
-
-
-def test_fta_cert_report_shape(capsys):
-    code, out, _ = run_cli(capsys, "fta-cert", "--poly", "6,-5,1", "--grid", "64x64")
-    assert code == 0
-    data = json.loads(out)
     assert list(data) == [
         "r0",
         "annulus_bound",
@@ -209,7 +203,6 @@ def test_fta_cert_report_shape(capsys):
         "comment",
     ]
     assert data["grid"] == "64x64"
-    assert data["root_witness"] is None
     assert data["comment"] == cli.BOUND_COMMENT
     assert "Cauchy" in data["comment"]
 
