@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 from .errors import BergspaceError, TailNotSmall
 
 if TYPE_CHECKING:
-    from .fta import Polynomial, QuadratureGrid
+    from .fta import CertificateReport, Polynomial, QuadratureGrid
     from .rational import GaussianRational, PiRational
     from .series import SparseSeries
 
@@ -178,6 +178,20 @@ def terms_json(series: SparseSeries) -> list:
     return [[e, c.to_json()] for e, c in series.terms()]
 
 
+def certificate_report(report: CertificateReport) -> dict:
+    witness = report.root_witness
+    return {
+        "r0": fraction_json(report.r0),
+        "annulus_bound": report.annulus_bound,
+        "inner_integral": report.inner_integral,
+        "m_constant": report.m_constant,
+        "certified_radius": report.certified_radius,
+        "grid": f"{report.grid_spec.n_r}x{report.grid_spec.n_theta}",
+        "root_witness": None if witness is None else [witness.real, witness.imag],
+        "comment": BOUND_COMMENT,
+    }
+
+
 def emit(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
@@ -210,18 +224,7 @@ def _cmd_fta_cert(args) -> str:
 
     poly = parse_poly(args.poly)
     grid = parse_grid(args.grid) if args.grid else fta.QuadratureGrid()
-    report = fta.root_disc_certificate(poly, grid)
-    witness = report.root_witness
-    return emit({
-        "r0": fraction_json(report.r0),
-        "annulus_bound": report.annulus_bound,
-        "inner_integral": report.inner_integral,
-        "m_constant": report.m_constant,
-        "certified_radius": report.certified_radius,
-        "grid": f"{report.grid_spec.n_r}x{report.grid_spec.n_theta}",
-        "root_witness": None if witness is None else [witness.real, witness.imag],
-        "comment": BOUND_COMMENT,
-    })
+    return emit(certificate_report(fta.root_disc_certificate(poly, grid)))
 
 
 def _prime_sum(kind: str, n: int) -> PiRational:

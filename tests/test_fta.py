@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bergspace import SparseSeries, UNIT_DISC, inner_product
+from bergspace import SparseSeries, UNIT_DISC, cli, inner_product
 from bergspace.errors import DegreeTooSmall, NearZeroDetected, OutOfRange, ZeroConstantTerm
 from bergspace.fta import (
     MAX_GRID_NODES,
@@ -352,3 +352,23 @@ def test_certificate_soundness_random_roots():
         assert report.root_witness is not None or (
             smallest <= report.certified_radius + 1e-6
         )
+
+
+def test_certificate_report_json_shape():
+    report = root_disc_certificate(Polynomial([6, -5, 1]), QuadratureGrid(64, 64))
+    data = cli.certificate_report(report)
+    assert list(data) == [
+        "r0",
+        "annulus_bound",
+        "inner_integral",
+        "m_constant",
+        "certified_radius",
+        "grid",
+        "root_witness",
+        "comment",
+    ]
+    assert data["r0"] == [report.r0.numerator, report.r0.denominator]
+    assert data["grid"] == "64x64"
+    assert data["root_witness"] is None
+    assert data["comment"] == cli.BOUND_COMMENT
+    assert "Cauchy" in data["comment"]
