@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import math
 import os
@@ -362,13 +361,19 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def parse_known_args(self, args=None, namespace=None):
-        # only flags come before a command, and an unknown one would hand its
-        # value to the command slot ("invalid choice: 'x'"): name the flag
-        if self._subparsers is not None and args:
-            head = itertools.takewhile(lambda a: a.startswith("-") and a != "--", args)
-            unknown = [a for a in head if a not in self._option_string_actions]
-            if unknown:
-                self.error("unrecognized arguments: " + " ".join(unknown))
+        # an unknown flag before the first positional would hand its value to that
+        # slot ("invalid choice: 'x'"): name the flag. A known flag's value is skipped
+        tokens, unknown = iter(args if args and self._get_positional_actions() else ()), []
+        for a in tokens:
+            if a == "--" or not a.startswith("-") or self._negative_number_matcher.match(a):
+                break
+            action = self._option_string_actions.get(a.split("=", 1)[0])
+            if action is None:
+                unknown.append(a)
+            elif action.nargs != 0 and "=" not in a:
+                next(tokens, None)
+        if unknown:
+            self.error("unrecognized arguments: " + " ".join(unknown))
         return super().parse_known_args(args, namespace)
 
     def error(self, message):

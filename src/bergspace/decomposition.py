@@ -30,13 +30,13 @@ from ._record import Record
 from .errors import OutOfRange, PartitionViolation, TailNotSmall
 from .primes import (
     PrimePartition,
-    _harmonic,
+    _recip_sums,
     make_partition,
     rough_numbers,
     smooth_numbers,
     tail_sum,
 )
-from .rational import PiRational, sum_fractions, sum_reciprocals
+from .rational import PiRational, _coprime_fraction, sum_fractions, sum_reciprocals
 from .series import SparseSeries, add
 
 __all__ = _EXPORTS["decomposition"]
@@ -139,16 +139,18 @@ class StepOneBound(Record):
 def step_one_norm_bound(pk: int, degree: int) -> StepOneBound:
     """The step-one record at cutoff pk and truncation degree D.
 
-    lhs = pi * H_{D+1}, since the monomials z^e have norm pi/(e+1). Every
-    k <= n has at most one prime factor p above b = isqrt(n), counted with
-    multiplicity, so H_n = sum_{b-smooth k <= n} 1/k + sum_{p > b} H_{n // p} / p;
-    ``primes._harmonic`` sums it that way.
+    The monomials z^e have norm pi/(e+1), so lhs = pi * H_{D+1} and
+    ||F_D||^2 = pi * sum 1/(r+1) over the rough r <= D: two sums of 1/k over
+    subsets of 1..D+1, which ``primes._recip_sums`` takes in one call. The
+    partition is sieved to D+1, so that call finds its primes in one sieve.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    part = make_partition(pk, degree)
-    lhs = PiRational(_harmonic(degree + 1))
-    f_norm = _unit_norm_sq(rough_numbers(part, degree))
+    part = make_partition(pk, degree + 1)
+    rough_succ = bytearray(degree + 2)
+    for r in rough_numbers(part, degree):
+        rough_succ[r + 1] = 1
+    lhs, f_norm = map(PiRational, _recip_sums(degree + 1, [None, bytes(rough_succ)]))
     smooth_sum = sum_reciprocals(smooth_numbers(part, degree))
     rhs_coeff = (
         Fraction(3, 2)
@@ -315,6 +317,7 @@ def rough_tail_geometric_bound(part: PrimePartition, terms: int) -> RoughTailBou
     s = tail_sum(part)
     if s >= 1:
         raise TailNotSmall(s)
-    geometric = s / (1 - s)
+    # s / (1 - s) = a / (b - a) for s = a / b, and gcd(a, b - a) = gcd(a, b) = 1
+    geometric = _coprime_fraction(s.numerator, s.denominator - s.numerator)
     partial = sum_reciprocals(rough_numbers(part, terms))
     return RoughTailBound(s, geometric, partial, terms, partial <= geometric)

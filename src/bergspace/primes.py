@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import _EXPORTS
 from ._record import Record
 from .errors import OutOfRange
-from .rational import PiRational, _product, _sum_coprime, sum_reciprocals
+from .rational import PiRational, _coprime_fraction, _product, _sum_coprime, sum_reciprocals
 from .series import SparseSeries
 
 __all__ = _EXPORTS["primes"]
@@ -212,27 +212,25 @@ def euler_product_smooth(part: PrimePartition) -> Fraction:
 
 def tail_sum(part: PrimePartition) -> Fraction:
     """sum of 1/p over the primes in [pk, p2_limit], exact."""
-    return Fraction(*_sum_coprime([1] * len(part.p2), list(part.p2)))
+    # mod each p the numerator is the product of the other primes, never 0
+    return _coprime_fraction(*_sum_coprime([1] * len(part.p2), list(part.p2)))
 
 
-def _harmonic(n: int) -> Fraction:
-    """H_n = sum_{k <= n} 1/k, exact; 0 for n <= 0.
+def _recip_sums(n: int, masks: list[bytes | None]) -> list[Fraction]:
+    """Exact sums of 1/k over subsets of 1..n, one reduced Fraction per mask.
 
-    With b = isqrt(n), every k <= n is either b-smooth or p*m for exactly
-    one prime p > b and some m <= n // p <= b, so
-
-        H_n = sum_{b-smooth k <= n} 1/k + sum_{b < p <= n} H_{n // p} / p.
-
-    L (``lcm`` below), the product of p^floor(log_p n) over primes p <= b,
-    is a common denominator of the first sum and of every H_q with q <= b,
-    so L times either is an integer. The primes p > b that share one
-    q = n // p add up to a fraction over their product, and L*H_q times
-    that fraction is one term of L*H_n. The terms' denominators are
-    products of disjoint sets of primes, so they add up without a gcd.
-    The one reduction is the final Fraction's.
+    A mask is None for all of 1..n, or n + 1 bytes flagging each k in the
+    subset; a set flag 0 raises ZeroDivisionError. With b = isqrt(n), each
+    k <= n is b-smooth or q*m for one prime q > b and m <= n // q <= b. L
+    (``lcm``), the product of p^floor(log_p n) over primes p <= b, is a
+    multiple of each smooth k and each m, so the smooth k add up to L // k
+    over L, and q's multiples to c / (q L), c summing L // m over flagged q*m.
+    Primes sharing one row of flags q, 2q, ..., (n // q) q share c, and their
+    1/q add up over coprime products with no gcd. Each other term carries q,
+    and its group's numerator is a product of other primes mod q, so q divides
+    the numerator N iff q | c: gcd(N, L * den) = gcd(N, L) * prod gcd(c, den).
     """
-    if n < 1:
-        return Fraction(0)
+    n = max(n, 0)
     b = math.isqrt(n)
     primes = _primes_up_to(n)
     split = bisect_right(primes, b)
@@ -243,20 +241,35 @@ def _harmonic(n: int) -> Fraction:
         while power * p <= n:
             power *= p
         lcm *= power
-    # k survives when no prime above b divides it, that is when k is b-smooth
-    flags = bytearray(b"\x01") * (n + 1)
-    flags[0] = 0
-    for p in big:
-        flags[p::p] = bytes(n // p)
-    smooth = sum(map(lcm.__floordiv__, itertools.compress(range(n + 1), flags)))
-    # scaled[q] = L * H_q for q <= b
-    scaled = list(itertools.accumulate(map(lcm.__floordiv__, range(1, b + 1)), initial=0))
-    nums, dens = [smooth], [1]
-    # n // p falls as p rises: add up each run of 1/p, then scale it once
-    for q, run in itertools.groupby(big, lambda p: n // p):
-        run = list(run)
-        num, den = _sum_coprime([1] * len(run), run)
-        nums.append(scaled[q] * num)
-        dens.append(den)
-    num, den = _sum_coprime(nums, dens)
-    return Fraction(num, lcm * den)
+    # smooth flags the b-smooth k in 1..n, and quot holds L // k for them
+    smooth = bytearray(b"\x01") * (n + 1)
+    smooth[0] = 0
+    zeros = memoryview(bytes(n // (b + 1)))
+    for q in big:
+        smooth[q::q] = zeros[: n // q]
+    quot = list(map(lcm.__floordiv__, itertools.compress(range(n + 1), smooth)))
+    scaled = [lcm // m for m in range(1, b + 1)]
+    prefix = list(itertools.accumulate(scaled, initial=0))
+    # n // q falls as q rises, so all of 1..n groups the big primes by runs
+    runs = [(prefix[t], list(run)) for t, run in itertools.groupby(big, lambda q: n // q)]
+    sums = []
+    for mask in masks:
+        if mask is None:
+            mask, groups = bytes(1) + b"\x01" * n, runs
+        else:
+            rows: dict[bytes, list[int]] = {}
+            for q in big:
+                rows.setdefault(mask[q::q], []).append(q)
+            weighted = ((sum(itertools.compress(scaled, row)), qs) for row, qs in rows.items())
+            groups = [(c, qs) for c, qs in weighted if c]
+        if mask[0]:
+            raise ZeroDivisionError("1/0 in a sum of reciprocals")
+        nums, dens = [sum(itertools.compress(quot, itertools.compress(mask, smooth)))], [1]
+        for c, group in groups:
+            num, den = _sum_coprime([1] * len(group), group)
+            nums.append(c * num)
+            dens.append(den)
+        num, den = _sum_coprime(nums, dens)
+        common = math.gcd(num, lcm) * _product(map(math.gcd, (c for c, _ in groups), dens[1:]))
+        sums.append(_coprime_fraction(num // common, lcm * den // common))
+    return sums

@@ -8,14 +8,16 @@ Sums of many terms merge plain numerator/denominator pairs tree-style and
 reduce once at the end. ``sum_fractions`` and ``sum_reciprocals`` put each
 pair over the lcm of its denominators, which costs a gcd per merge. Sums
 whose denominators are pairwise coprime take ``_sum_coprime`` instead: the
-sum of 1/p over distinct primes in ``primes.tail_sum``, and the prime runs
-and scaled parts of ``primes._harmonic``. The lcm of coprime denominators
-is their product, so those merges run no gcd.
+sum of 1/p over distinct primes in ``primes.tail_sum``, and the prime groups
+and scaled parts of ``primes._recip_sums``. The lcm of coprime denominators
+is their product, so those merges run no gcd. A caller that proves its sum
+is in lowest terms skips Fraction's quadratic gcd via ``_coprime_fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from math import pi as _PI
 from typing import Iterable, Union
@@ -88,6 +90,13 @@ def _sum_coprime(nums: list[int], dens: list[int]) -> tuple[int, int]:
         ] + nums[len(nums) & ~1 :]
         dens = _pair_products(dens)
     return (nums[0], dens[0]) if nums else (0, 1)
+
+
+# Fraction(num, den) for den > 0 and gcd(num, den) = 1, running no gcd; Python
+# 3.12 added Fraction._from_coprime_ints and dropped the _normalize flag
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(
+    Fraction, _normalize=False
+)
 
 
 def sum_fractions(items: Iterable[Fraction]) -> Fraction:

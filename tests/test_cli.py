@@ -258,8 +258,9 @@ def test_usage_error_exit_code(capsys):
     [
         (("--config", "x", "primes", "norm", "--limit", "10"), "--config"),
         (("primes", "--foo", "x", "norm", "--limit", "10"), "--foo"),
+        (("sweep", "--foo", "x", "primes-norm", "--range", "1..2"), "--foo"),
     ],
-    ids=["before-the-command", "before-the-subcommand"],
+    ids=["before-the-command", "before-the-subcommand", "before-the-sweep-target"],
 )
 def test_unknown_flag_before_a_command_is_named(capsys, argv, flag):
     # the value after the flag is not read as the command

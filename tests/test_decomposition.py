@@ -1,6 +1,7 @@
 import hashlib
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from bergspace.decomposition import (
 )
 from bergspace.errors import OutOfRange, PartitionViolation, TailNotSmall
 from bergspace.primes import PrimePartition, make_partition, rough_numbers, smooth_numbers
-from bergspace.rational import PiRational, sum_fractions
+from bergspace.rational import PiRational, sum_fractions, sum_reciprocals
 from bergspace.series import compose_power, truncate
 
 
@@ -158,6 +159,24 @@ def test_step_one_holds(pk, degree):
     assert record.holds
     # lhs is exactly the norm of the truncated geometric series
     assert record.lhs == norm_sq(SparseSeries.geometric(degree), UNIT_DISC)
+
+
+def assert_lowest_terms(*values):
+    for value in values:
+        value = getattr(value, "coefficient", value)
+        assert type(value) is Fraction
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+
+
+@pytest.mark.parametrize("pk", [2, 3, 5, 7, 11, 29])
+def test_step_one_sums_match_reciprocal_sums_in_lowest_terms(pk):
+    # n = D + 1 crosses the squares 36, 121 and 169, where isqrt(n) steps
+    for degree in (1, 8, 35, 120, 168, 197, 997, 1000, 4096, 10001, 30000):
+        record = step_one_norm_bound(pk, degree)
+        rough = rough_numbers(make_partition(pk, degree), degree)
+        assert record.lhs == PiRational(sum_reciprocals(range(1, degree + 2)))
+        assert record.f_norm_sq == PiRational(sum_reciprocals([r + 1 for r in rough]))
+        assert_lowest_terms(record.lhs, record.rhs, record.f_norm_sq, record.smooth_recip_sum)
 
 
 # -- rough dedup ---------------------------------------------------------------
@@ -338,6 +357,19 @@ def test_rough_tail_pk29_holds_at_desk_scale():
     assert record.geometric_bound == record.tail / (1 - record.tail)
     assert record.partial_sum <= record.geometric_bound
     assert record.holds
+
+
+@pytest.mark.parametrize(
+    "pk,p2_limit",
+    [(3, 2), (53, 1), (37, 100), (11, 100), (13, 1000), (29, 5000), (29, 10_000), (97, 20_000),
+     (101, 30_000)],
+)
+def test_rough_tail_fractions_are_in_lowest_terms(pk, p2_limit):
+    part = make_partition(pk, p2_limit)
+    record = rough_tail_geometric_bound(part, p2_limit)
+    assert record.tail == sum_reciprocals(part.p2)
+    assert record.geometric_bound == record.tail / (1 - record.tail)
+    assert_lowest_terms(record.tail, record.geometric_bound, record.partial_sum)
 
 
 def test_rough_tail_pk11_small_window_holds():

@@ -232,28 +232,73 @@ def harmonic_reference(n):
     return sum_reciprocals(range(1, n + 1))
 
 
+def harmonic(n):
+    return primes._recip_sums(n, [None])[0]
+
+
 def test_harmonic_small_n():
     for n in range(601):
-        assert primes._harmonic(n) == harmonic_reference(n)
-    assert primes._harmonic(-3) == 0
+        assert harmonic(n) == harmonic_reference(n)
+    assert harmonic(-3) == 0
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 101) if oracle_is_prime(p)])
 def test_harmonic_around_prime_squares(p):
     # isqrt(n) steps at p^2, moving p from the big primes to the small ones
     for n in (p * p - 1, p * p, p * p + 1):
-        assert primes._harmonic(n) == harmonic_reference(n)
+        assert harmonic(n) == harmonic_reference(n)
 
 
 def test_harmonic_at_step_one_size():
-    assert primes._harmonic(30049) == harmonic_reference(30049)
+    assert harmonic(30049) == harmonic_reference(30049)
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(0, 40_000))
 def test_harmonic_matches_reciprocal_sum(n):
-    assert primes._harmonic(n) == harmonic_reference(n)
+    assert harmonic(n) == harmonic_reference(n)
 
+
+def subset_mask(n, ks):
+    mask = bytearray(n + 1)
+    for k in ks:
+        mask[k] = 1
+    return bytes(mask)
+
+
+def assert_subset_sums(n, subsets):
+    sums = primes._recip_sums(n, [None] + [subset_mask(n, ks) for ks in subsets])
+    assert sums == [harmonic_reference(n)] + [sum_reciprocals(ks) for ks in subsets]
+    for total in sums:
+        assert math.gcd(total.numerator, total.denominator) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 3000),
+    densities=st.lists(st.floats(0, 1), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32),
+)
+def test_subset_sums_match_reciprocal_sum(n, densities, seed):
+    rng = random.Random(seed)
+    subsets = [[k for k in range(1, n + 1) if rng.random() < d] for d in densities]
+    assert_subset_sums(n, subsets)
+
+
+def test_subset_sums_edge_cases():
+    for n in (1, 2, 3):
+        assert_subset_sums(n, [[], [1], [n], list(range(1, n + 1)), [k for k in (2, 3) if k <= n]])
+    # n = 120: b = 10, so 97 is a big prime alone in its row, and
+    # 110 = 11 * 10 is a big prime times b
+    assert_subset_sums(120, [[], [120], [97], [110], [11, 22, 110], [61, 67, 71, 120]])
+    for p in (7, 11, 31):
+        for n in (p * p - 1, p * p, p * p + 1):
+            multiples = list(range(p, n + 1, p))
+            assert_subset_sums(n, [[n], [p, multiples[-1]], multiples, [p + 1, n - 1]])
+    for n, ks in ((0, [0]), (5, [0]), (5, [0, 3]), (120, [0, 97, 110])):
+        with pytest.raises(ZeroDivisionError):
+            primes._recip_sums(n, [subset_mask(n, ks)])
+    assert primes._recip_sums(10, []) == []
 
 def test_bertrand_witness_examples():
     assert bertrand_witness(1) == (pi_frac(1, 3), True)

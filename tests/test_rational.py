@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bergspace.rational import (
     GaussianRational,
     PiRational,
+    _coprime_fraction,
     _product,
     _sum_coprime,
     sum_fractions,
@@ -195,6 +196,16 @@ def test_sums_of_nothing_and_of_one_term():
         assert_reduced(total)
     assert _product([]) == 1
     assert _product([-7]) == -7
+
+
+def test_coprime_fraction_keeps_the_given_terms():
+    # Mersenne primes, and 10^50 + 1 against a power of ten
+    pairs = [(0, 1), (1, 1), (-3, 4), (7, 30), (2**521 - 1, 2**607 - 1), (-(10**50 + 1), 10**49)]
+    for num, den in pairs:
+        total = _coprime_fraction(num, den)
+        assert type(total) is Fraction
+        assert (total.numerator, total.denominator) == (num, den)
+        assert total == Fraction(num, den)
 
 
 def test_sum_reciprocals_rejects_a_zero_denominator():
