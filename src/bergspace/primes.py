@@ -211,7 +211,9 @@ def euler_product_smooth(part: PrimePartition) -> Fraction:
 
 
 def tail_sum(part: PrimePartition) -> Fraction:
-    """sum of 1/p over the primes in [pk, p2_limit], exact."""
+    """sum of 1/p over the primes in [pk, p2_limit], exact; part must be make_partition's."""
+    if part != make_partition(part.pk, part.p2_limit):
+        raise OutOfRange(f"not the partition at cutoff {part.pk} up to {part.p2_limit}")
     # mod each p the numerator is the product of the other primes, never 0
     return _coprime_fraction(*_sum_coprime([1] * len(part.p2), list(part.p2)))
 
@@ -250,7 +252,7 @@ def _recip_sums(n: int, masks: list[bytes | None]) -> list[Fraction]:
     quot = list(map(lcm.__floordiv__, itertools.compress(range(n + 1), smooth)))
     scaled = [lcm // m for m in range(1, b + 1)]
     prefix = list(itertools.accumulate(scaled, initial=0))
-    # n // q falls as q rises, so all of 1..n groups the big primes by runs
+    # n // q falls as q rises, so all of 1..n groups the big primes by runs, slicing no rows
     runs = [(prefix[t], list(run)) for t, run in itertools.groupby(big, lambda q: n // q)]
     sums = []
     for mask in masks:

@@ -94,9 +94,7 @@ def _sum_coprime(nums: list[int], dens: list[int]) -> tuple[int, int]:
 
 # Fraction(num, den) for den > 0 and gcd(num, den) = 1, running no gcd; Python
 # 3.12 added Fraction._from_coprime_ints and dropped the _normalize flag
-_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(
-    Fraction, _normalize=False
-)
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", partial(Fraction, _normalize=False))
 
 
 def sum_fractions(items: Iterable[Fraction]) -> Fraction:

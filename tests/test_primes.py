@@ -13,6 +13,7 @@ from bergspace import UNIT_DISC, norm_sq
 from bergspace import primes
 from bergspace.errors import OutOfRange
 from bergspace.primes import (
+    PrimePartition,
     bertrand_witness,
     euler_product_smooth,
     make_partition,
@@ -226,6 +227,17 @@ def test_tail_sum_examples():
 def test_tail_sum_matches_reciprocal_sum(pk, limit):
     part = make_partition(pk, limit)
     assert tail_sum(part) == sum_reciprocals(part.p2)
+
+
+@pytest.mark.parametrize("p2", [(3, 3), (0,), (3,), (3, 5, 7, 11), (5, 7), (5, 3, 7)])
+def test_tail_sum_refuses_a_hand_built_p2(p2):
+    # the sum skips its gcd because p2 holds distinct primes, so a partition
+    # other than make_partition's is refused
+    part = PrimePartition(3, (2,), 10, p2)
+    assert make_partition(3, 10) == PrimePartition(3, (2,), 10, (3, 5, 7))
+    with pytest.raises(OutOfRange, match="not the partition at cutoff 3 up to 10"):
+        tail_sum(part)
+    assert tail_sum(PrimePartition(3, (2,), 10, (3, 5, 7))) == Fraction(71, 105)
 
 
 def harmonic_reference(n):

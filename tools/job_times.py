@@ -1,13 +1,12 @@
-"""Per-job wall times of a library workload, and the jobs its percentiles read.
+"""Per-job wall times of the decompose workload, and the jobs its percentiles read.
 
-    python3 tools/job_times.py [--tree DIR] [--workload decompose] \
-        [--seed N] [--workers N]
+    python3 tools/job_times.py [--tree DIR] [--seed N]
 
-Run from the repository root. Starts ``--workers`` fresh
-``perfbench/child.py lib`` workers one after another, worker i on the job
-list of the workload's round i for ``--seed``, as ``perfbench/run.py``
-builds it. Prints each job's median and max wall time over the workers,
-then the workload's latency_p50_s and latency_p90_s over all those samples
+Run from the repository root. Starts 20 fresh ``perfbench/child.py lib``
+workers one after another, worker i on the job list of the workload's
+round i for ``--seed``, as ``perfbench/run.py`` builds it. Prints each
+job's median and max wall time over the workers, then the workload's
+latency_p50_s and latency_p90_s over all those samples
 (the same interpolation as ``perfbench/run.py``) and the job or jobs each
 of the two reads. A percentile of a job mix moves only with the jobs near
 it, so this shows which job a latency claim rests on before it is made.
@@ -28,32 +27,28 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOAD = "decompose"
+WORKERS = 20
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="checkout whose perfbench/ and src/ run (default: this one)")
-    parser.add_argument("--workload", default="decompose")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=20)
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     sys.set_int_max_str_digits(0)  # the workers' summaries carry huge exact integers
     bench = args.tree.resolve() / "perfbench"
     sys.path.insert(0, str(bench))
     from run import quantile
     from workloads import WORKLOADS
 
-    workload = WORKLOADS.get(args.workload)
-    if workload is None or workload.runs_cli:
-        parser.error(f"--workload must be a library workload, got {args.workload}")
+    workload = WORKLOADS[WORKLOAD]
     env = {**os.environ, "PYTHONPATH": str(bench.parent / "src")}
     samples: list[tuple[float, str]] = []  # (wall seconds, job)
     with tempfile.TemporaryDirectory() as tmp:
         jobs_path, out_path = Path(tmp, "jobs.json"), Path(tmp, "results.json")
-        for index in range(args.workers):
+        for index in range(WORKERS):
             jobs = workload.jobs(args.seed, index)
             jobs_path.write_text(json.dumps([[job.kind, job.args] for job in jobs]))
             subprocess.run([sys.executable, str(bench / "child.py"), "lib", str(jobs_path),
@@ -67,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     walls: dict[str, list[float]] = {}
     for wall, label in samples:
         walls.setdefault(label, []).append(wall)
-    print(f"{args.workload} seed {args.seed}, {args.workers} fresh workers, "
+    print(f"{WORKLOAD} seed {args.seed}, {WORKERS} fresh workers, "
           f"{len(samples)} samples")
     print(f"{'job':<28} {'median ms':>10} {'max ms':>10}")
     for label, times in sorted(walls.items(), key=lambda item: statistics.median(item[1])):
