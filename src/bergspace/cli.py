@@ -6,7 +6,8 @@ are CSV. Exact values print as [numerator, denominator] pairs with a float
 beside them at 15 significant digits, or null where that float overflows.
 Exit codes: 0 success, 2 malformed input or usage (including a sieve limit
 past primes.SIEVE_LIMIT_CAP), 3 a mathematical hypothesis check failed (e.g.
-the prime tail sum was not below 1).
+the prime tail sum was not below 1). Any other failure is a bug, which exits 1
+with a Python traceback.
 
 Usage examples:
 
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING
 
 # Each command imports the modules it needs when it runs, so a process
 # loads only those; errors is shared by every command's exit-code mapping.
-from .errors import BergspaceError, TailNotSmall
+from .errors import OutOfRange, TailNotSmall
 
 if TYPE_CHECKING:
     from .fta import CertificateReport, Polynomial, QuadratureGrid
@@ -56,10 +57,6 @@ BOUND_COMMENT = (
 )
 
 
-class UsageError(Exception):
-    """Bad input from the user; maps to exit code 2."""
-
-
 # -- input parsing -----------------------------------------------------------
 
 
@@ -67,7 +64,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}") from None
+        raise OutOfRange(f"bad rational {text!r}: {exc}") from None
 
 
 def parse_coefficient(text: str) -> GaussianRational:
@@ -76,7 +73,7 @@ def parse_coefficient(text: str) -> GaussianRational:
 
     s = text.replace(" ", "")
     if not s:
-        raise UsageError("empty coefficient")
+        raise OutOfRange("empty coefficient")
     if not s.endswith("i"):
         return GaussianRational(parse_rational(s))
     body = s[:-1]
@@ -106,12 +103,12 @@ def parse_series(text: str) -> SparseSeries:
         if not chunk:
             continue
         if "@" not in chunk:
-            raise UsageError(f"series term {chunk!r} is missing '@exponent'")
+            raise OutOfRange(f"series term {chunk!r} is missing '@exponent'")
         coeff_text, _, exp_text = chunk.rpartition("@")
         try:
             exponent = int(exp_text)
         except ValueError:
-            raise UsageError(f"bad exponent {exp_text!r}") from None
+            raise OutOfRange(f"bad exponent {exp_text!r}") from None
         c = parse_coefficient(coeff_text)
         coeffs[exponent] = coeffs.get(exponent, GaussianRational()) + c
     return SparseSeries(coeffs)
@@ -132,7 +129,7 @@ def parse_grid(text: str) -> QuadratureGrid:
         nr_text, nt_text = text.lower().split("x")
         grid = QuadratureGrid(int(nr_text), int(nt_text))
     except ValueError as exc:
-        raise UsageError(f"bad grid spec {text!r}: {exc}") from None
+        raise OutOfRange(f"bad grid spec {text!r}: {exc}") from None
     return grid
 
 
@@ -141,9 +138,9 @@ def parse_range(text: str) -> tuple[int, int]:
         lo_text, hi_text = text.split("..")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise UsageError(f"bad range {text!r}, expected START..STOP") from None
+        raise OutOfRange(f"bad range {text!r}, expected START..STOP") from None
     if lo > hi:
-        raise UsageError(f"--range {text} is empty: START must not exceed STOP")
+        raise OutOfRange(f"--range {text} is empty: START must not exceed STOP")
     return lo, hi
 
 
@@ -320,17 +317,20 @@ def _cmd_decompose_tail(args) -> str:
     return emit(out)
 
 
-def _log_spaced(lo: int, hi: int, points: int | None) -> list[int]:
+def _log_spaced(lo: int, hi: int, points: int | None) -> range | list[int]:
     if points is None:
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)  # lazy: a range past the cap is refused at its first row
     if points < 1:
-        raise UsageError(f"--points must be >= 1, got {points}")
+        raise OutOfRange(f"--points must be >= 1, got {points}")
     if lo < 1:
-        raise UsageError(f"--points needs --range START >= 1, got {lo}")
+        raise OutOfRange(f"--points needs --range START >= 1, got {lo}")
     if points == 1:
         return [lo]
-    ratio = hi / lo
-    return sorted({round(lo * ratio ** (i / (points - 1))) for i in range(points)})
+    try:
+        ratio = hi / lo
+        return sorted({round(lo * ratio ** (i / (points - 1))) for i in range(points)})
+    except OverflowError:
+        raise OutOfRange(f"--range {lo}..{hi}: STOP/START overflows a float") from None
 
 
 def _cmd_sweep(args) -> str:
@@ -377,7 +377,7 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        raise UsageError(message)
+        raise OutOfRange(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +451,7 @@ def dispatch(argv: list[str]) -> int:
     except TailNotSmall as exc:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, BergspaceError, ValueError, OverflowError) as exc:
+    except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(output)

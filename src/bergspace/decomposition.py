@@ -89,7 +89,7 @@ def geometric_partition(pk: int, degree: int) -> PartitionReport:
     be a bug, and it is surfaced rather than repaired.
     """
     if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+        raise OutOfRange(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree)
     rough = rough_numbers(part, degree)
 
@@ -145,7 +145,7 @@ def step_one_norm_bound(pk: int, degree: int) -> StepOneBound:
     partition is sieved to D+1, so that call finds its primes in one sieve.
     """
     if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+        raise OutOfRange(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree + 1)
     rough_succ = bytearray(degree + 2)
     for r in rough_numbers(part, degree):
@@ -218,9 +218,9 @@ def _dedup_exponents(
     any ``p2_limit`` >= ``degree`` gives the same lists.
     """
     if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+        raise OutOfRange(f"degree must be >= 1, got {degree}")
     if p2_limit < degree:
-        raise ValueError(
+        raise OutOfRange(
             f"p2_limit {p2_limit} < degree {degree}: Q would be incomplete"
         )
     part = make_partition(pk, degree)
@@ -311,7 +311,7 @@ def rough_tail_geometric_bound(part: PrimePartition, terms: int) -> RoughTailBou
     if terms < 0:
         raise OutOfRange(f"terms must be >= 0, got {terms}")
     if terms > part.p2_limit:
-        raise ValueError(
+        raise OutOfRange(
             f"terms {terms} exceeds p2_limit {part.p2_limit}: tail sum incomplete"
         )
     s = tail_sum(part)

@@ -3,6 +3,8 @@
 Names follow the mathematical failure they signal, not a generic *Error
 scheme: several of them (NearZeroDetected, TailNotSmall) are expected
 outcomes that callers convert into reports or distinct exit codes.
+OutOfRange is the one refusal class: every input outside an operation's
+domain raises it, and ZeroConstantTerm and DegreeTooSmall are its kinds.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ class BergspaceError(Exception):
     """Base class for every exception raised by this package."""
 
 
-class ZeroConstantTerm(BergspaceError):
+class OutOfRange(BergspaceError, ValueError):
+    """Input outside the operation's domain (e.g. a Bertrand index n < 1, an overflowing R0);
+    a ValueError too, so ``except ValueError`` still catches every refusal."""
+
+
+class ZeroConstantTerm(OutOfRange):
     """The polynomial has P(0) = 0, so 1/P has no Taylor expansion at 0."""
 
 
-class DegreeTooSmall(BergspaceError):
+class DegreeTooSmall(OutOfRange):
     """Operation requires a polynomial of degree at least 2."""
-
-
-class OutOfRange(BergspaceError):
-    """Input outside the operation's domain (e.g. a Bertrand index n < 1, an overflowing R0)."""
 
 
 class NearZeroDetected(BergspaceError):

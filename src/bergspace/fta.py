@@ -69,9 +69,9 @@ class Polynomial(Record):
     def __init__(self, coefficients):
         coeffs = tuple(GaussianRational.of(c) for c in coefficients)
         if not coeffs:
-            raise ValueError("a polynomial needs at least one coefficient")
+            raise OutOfRange("a polynomial needs at least one coefficient")
         if coeffs[-1].is_zero:
-            raise ValueError("leading coefficient must be nonzero")
+            raise OutOfRange("leading coefficient must be nonzero")
         set_field(self, "coeffs", coeffs)
 
     @property
@@ -126,7 +126,7 @@ def reciprocal_taylor(poly: Polynomial, degree: int) -> ReciprocalExpansion:
     if poly.constant_term.is_zero:
         raise ZeroConstantTerm("P(0) = 0: 1/P has no Taylor expansion at 0")
     if degree < 0:
-        raise ValueError(f"expansion degree must be >= 0, got {degree}")
+        raise OutOfRange(f"expansion degree must be >= 0, got {degree}")
     a = poly.coeffs
     inv_a0 = GaussianRational.of(1) / a[0]
     b = [inv_a0]
@@ -176,7 +176,7 @@ def annulus_l2_bound(poly: Polynomial, r0: Fraction) -> float:
         raise DegreeTooSmall(f"need degree >= 2, got {poly.degree}")
     r0 = Fraction(r0)
     if r0 <= 0:
-        raise ValueError(f"r0 must be positive, got {r0}")
+        raise OutOfRange(f"r0 must be positive, got {r0}")
     n = poly.degree
     denom = r0 ** (2 * n - 2) * poly.leading.abs_sq() * (n - 1)
     return 4.0 * math.pi * float(1 / denom)
@@ -198,7 +198,7 @@ class QuadratureGrid(Record):
     def __init__(self, n_r: int = 512, n_theta: int = 512):
         if not (8 <= min(n_r, n_theta) and max(n_r, n_theta) <= MAX_GRID_SIDE
                 and n_r * n_theta <= MAX_GRID_NODES):
-            raise ValueError(f"grid {n_r}x{n_theta} needs sides of 8 to {MAX_GRID_SIDE} "
+            raise OutOfRange(f"grid {n_r}x{n_theta} needs sides of 8 to {MAX_GRID_SIDE} "
                              f"and at most {MAX_GRID_NODES} nodes")
         super().__init__(n_r, n_theta)
 
@@ -230,7 +230,7 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
     grid = grid or QuadratureGrid()
     radius = float(Fraction(r0))
     if radius <= 0:
-        raise ValueError(f"r0 must be positive, got {r0}")
+        raise OutOfRange(f"r0 must be positive, got {r0}")
     mids, widths = grid.radial_cells(radius)
     theta = (np.arange(grid.n_theta) + 0.5) * (2.0 * math.pi / grid.n_theta)
     unit = np.exp(1j * theta)[None, :]
@@ -282,12 +282,14 @@ def root_disc_certificate(poly: Polynomial, grid: QuadratureGrid | None = None) 
     """Certify a closed disc containing at least one root of P."""
     grid = grid or QuadratureGrid()
     r0 = r0_bound(poly)
-    annulus = annulus_l2_bound(poly, r0)
     try:
+        annulus = annulus_l2_bound(poly, r0)
         inner = inner_disc_l2(poly, r0, grid)
+        a0_modulus = math.sqrt(float(poly.constant_term.abs_sq()))
     except NearZeroDetected as witness:
         return CertificateReport(r0, annulus, None, None, abs(witness.point), grid, witness.point)
+    except OverflowError as exc:
+        raise OutOfRange(f"the float step overflowed: {exc}") from None
     m_constant = inner + annulus
-    a0_modulus = math.sqrt(float(poly.constant_term.abs_sq()))
     certified = a0_modulus * math.sqrt(m_constant / math.pi)
     return CertificateReport(r0, annulus, inner, m_constant, certified, grid, None)

@@ -21,6 +21,7 @@ from typing import Iterator, Mapping
 
 from . import _EXPORTS
 from ._record import Record, set_field
+from .errors import OutOfRange
 from .rational import (
     GAUSSIAN_ONE,
     GaussianLike,
@@ -42,7 +43,7 @@ class Disc(Record):
     def __init__(self, radius: Fraction):
         r = radius if isinstance(radius, Fraction) else Fraction(radius)
         if r <= 0:
-            raise ValueError(f"disc radius must be positive, got {r}")
+            raise OutOfRange(f"disc radius must be positive, got {r}")
         super().__init__(r)
 
 
@@ -72,16 +73,16 @@ class SparseSeries(Record):
         coeffs: dict[int, GaussianRational] = {}
         for exponent, value in (coefficients or {}).items():
             if not isinstance(exponent, int) or exponent < 0:
-                raise ValueError(f"exponents must be nonnegative integers, got {exponent!r}")
+                raise OutOfRange(f"exponents must be nonnegative integers, got {exponent!r}")
             c = GaussianRational.of(value)
             if not c.is_zero:
                 coeffs[exponent] = c
         if degree_bound is not None:
             if degree_bound < 0:
-                raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
+                raise OutOfRange(f"degree_bound must be >= 0, got {degree_bound}")
             over = [e for e in coeffs if e > degree_bound]
             if over:
-                raise ValueError(
+                raise OutOfRange(
                     f"exponent {max(over)} exceeds degree_bound {degree_bound}"
                 )
         set_field(self, "_coeffs", coeffs)
@@ -196,7 +197,7 @@ def scale(f: SparseSeries, c: GaussianLike) -> SparseSeries:
 def truncate(f: SparseSeries, degree: int) -> SparseSeries:
     """Drop all exponents above ``degree`` and record it as the bound."""
     if degree < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {degree}")
+        raise OutOfRange(f"truncation degree must be >= 0, got {degree}")
     return SparseSeries(
         {e: c for e, c in f._coeffs.items() if e <= degree}, degree_bound=degree
     )
@@ -205,7 +206,7 @@ def truncate(f: SparseSeries, degree: int) -> SparseSeries:
 def compose_power(f: SparseSeries, m: int) -> SparseSeries:
     """g(z) = f(z^m): every exponent is dilated by the factor m."""
     if m < 1:
-        raise ValueError(f"power substitution needs m >= 1, got {m}")
+        raise OutOfRange(f"power substitution needs m >= 1, got {m}")
     bound = None if f.degree_bound is None else f.degree_bound * m
     return SparseSeries({e * m: c for e, c in f._coeffs.items()}, bound)
 

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import operator
 import os
 import re
 import shlex
@@ -11,16 +13,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergspace import cli, primes
 from bergspace.cli import (
-    UsageError,
     dispatch,
     parse_coefficient,
     parse_grid,
     parse_range,
     parse_series,
 )
+from bergspace.errors import OutOfRange, PartitionViolation
 from bergspace.rational import GaussianRational, PiRational
 from bergspace.series import SparseSeries
 from conftest import oracle_is_prime, oracle_prime_factors
@@ -64,7 +68,7 @@ def test_parse_coefficient_accepts_decimal_strings_exactly():
 
 def test_parse_coefficient_rejects_garbage():
     for bad in ("", "one", "1//2", "3/4j", "2+2"):
-        with pytest.raises(UsageError):
+        with pytest.raises(OutOfRange):
             parse_coefficient(bad)
 
 
@@ -76,13 +80,13 @@ def test_parse_series_accumulates_repeated_exponents():
 def test_parse_grid_and_range():
     grid = parse_grid("128x64")
     assert (grid.n_r, grid.n_theta) == (128, 64)
-    with pytest.raises(UsageError):
+    with pytest.raises(OutOfRange):
         parse_grid("4x4")  # below minimum dimensions
     assert parse_range("10..1000") == (10, 1000)
     assert parse_range("3..3") == (3, 3)
-    with pytest.raises(UsageError):
+    with pytest.raises(OutOfRange):
         parse_range("10-1000")
-    with pytest.raises(UsageError, match=r"^--range 5\.\.3 is empty"):
+    with pytest.raises(OutOfRange, match=r"^--range 5\.\.3 is empty"):
         parse_range("5..3")
 
 
@@ -246,6 +250,18 @@ def test_usage_error_exit_code(capsys):
         # a reversed range is empty
         ("sweep", "primes-norm", "--range", "5..3"),
         ("sweep", "primes-norm", "--range", "5..3", "--points", "3"),
+        # refused by the library's own argument checks
+        ("norm", "--series", "1@0", "--radius", "0"),
+        ("decompose", "geometric", "--pk", "3", "--degree", "0"),
+        ("decompose", "rough", "--pk", "3", "--degree", "0"),
+        ("fta-cert", "--poly", "0,1,1"),
+        ("fta-cert", "--poly", "1,2"),
+        # |c|^2 = 10^600 overflows a float in the zero threshold
+        ("fta-cert", "--poly", "1,0,1e300", "--grid", "16x16"),
+        # STOP/START = 10^400 overflows a float in the log spacing
+        ("sweep", "primes-norm", "--range", "1..1" + "0" * 400, "--points", "3"),
+        # refused at its first row, before the 10^11 values of the range exist
+        ("sweep", "bertrand", "--range", "100000000..100000000000"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -376,6 +392,108 @@ def test_hypothesis_failure_exit_code(capsys):
 def test_degree_too_small_is_input_error(capsys):
     code, _, err = run_cli(capsys, "fta-cert", "--poly", "1,1")
     assert code == 2
+
+
+def _fail_with(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "target, exc, argv",
+    [
+        ("bergspace.series.norm_sq", ValueError("a library bug"), ("norm", "--series", "1@0")),
+        ("bergspace.decomposition.geometric_partition", PartitionViolation(3, []),
+         ("decompose", "geometric", "--pk", "3", "--degree", "8")),
+        ("bergspace.primes.prime_norm_partial", OverflowError("a library bug"),
+         ("primes", "norm", "--limit", "10")),
+    ],
+    ids=["ValueError", "PartitionViolation", "OverflowError"],
+)
+def test_a_library_bug_is_not_a_refusal(monkeypatch, capsys, target, exc, argv):
+    # only OutOfRange (exit 2) and TailNotSmall (exit 3) are the user's; a bug
+    # leaves dispatch, so the process exits 1 with its traceback
+    monkeypatch.setattr(target, _fail_with(exc))
+    with pytest.raises(type(exc)) as raised:
+        dispatch(list(argv))
+    assert raised.value is exc
+    assert capsys.readouterr() == ("", "")
+
+
+_CAP_PLUS_ONE = primes.SIEVE_LIMIT_CAP + 1
+_COEFFS = ["0", "1", "-1/2", "3/4", "2i", "1/2-3/4i", "1e-250", "1e300", "1e400", "abc", "1/0", ""]
+_RADII = ["1", "1/2", "3", "0", "-1", "-1/2", "1e-250", "1e300", "abc", "1/0"]
+# grids of 8x8 to 16x16, or just over a cap: 2^16 a side, 2^26 nodes
+_grids = st.builds("{}x{}".format, st.integers(8, 16), st.integers(8, 16)) | st.sampled_from(
+    ["7x16", "16x7", "65537x8", "8x65537", "8193x8193", "16", "axb"])
+_limits = st.one_of(st.integers(-3, 20_000), st.just(_CAP_PLUS_ONE)).map(str) | st.just("x")
+_pks = st.one_of(st.integers(-3, 40), st.sampled_from([49, 97, 561, _CAP_PLUS_ONE])).map(str)
+_degrees = st.one_of(st.integers(0, 300), st.just(_CAP_PLUS_ONE)).map(str)
+_term = st.one_of(
+    st.builds("{}@{}".format, st.sampled_from(_COEFFS), st.integers(-1, 20)),
+    st.sampled_from(["@", ",", "1", "1@", "1@x"]),
+)
+_series = st.lists(_term, min_size=1, max_size=3).map(",".join)
+_radius_flag = st.one_of(st.just(()), st.sampled_from(_RADII).map(lambda r: ("--radius", r)))
+
+
+@st.composite
+def _sweep_argv(draw):
+    target = draw(st.sampled_from(["primes-norm", "twins", "bertrand"]))
+    if draw(st.booleans()):
+        # every integer of a short range, reversed when the span is negative
+        lo = draw(st.integers(-3, 200) | st.just(_CAP_PLUS_ONE))
+        hi = lo + draw(st.integers(-3, 99))
+        return ("sweep", target, "--range", f"{lo}..{hi}")
+    lo = draw(st.integers(-3, 20_000) | st.sampled_from([0, _CAP_PLUS_ONE]))
+    hi = draw(st.integers(-3, 20_000) | st.sampled_from([lo, lo + 1, 10**400]))
+    range_text = draw(st.just(f"{lo}..{hi}") | st.sampled_from(["abc", "1..", "1..2..3"]))
+    points = draw(st.integers(-1, 6))
+    return ("sweep", target, "--range", range_text, "--points", str(points))
+
+
+_argv = st.one_of(
+    st.builds(operator.add, st.tuples(st.just("norm"), st.just("--series"), _series),
+              _radius_flag),
+    st.builds(operator.add,
+              st.tuples(st.just("inner"), st.just("--f"), _series, st.just("--g"), _series),
+              _radius_flag),
+    st.tuples(
+        st.just("fta-cert"),
+        st.just("--poly"),
+        st.lists(st.sampled_from(_COEFFS), min_size=1, max_size=5).map(",".join)
+        | st.just(","),
+        st.just("--grid"),
+        _grids,
+    ),
+    st.tuples(st.just("primes"), st.sampled_from(["norm", "twins"]), st.just("--limit"), _limits),
+    st.tuples(st.just("primes"), st.just("bertrand"), st.just("--n"), _limits),
+    st.tuples(st.just("primes"), st.just("euler"), st.just("--pk"), _pks),
+    st.tuples(st.just("decompose"), st.sampled_from(["geometric", "rough"]), st.just("--pk"),
+              _pks, st.just("--degree"), _degrees),
+    st.tuples(st.just("decompose"), st.just("tail"), st.just("--pk"), _pks,
+              st.just("--p2-limit"), _limits),
+    _sweep_argv(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv)
+def test_dispatch_answers_or_refuses_every_drawn_command(argv):
+    # capsys is function-scoped, which hypothesis refuses; redirect instead
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(list(argv))
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    elif code == 2:
+        assert not out.getvalue()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code == 3 and not out.getvalue()
+        assert err.getvalue().startswith("hypothesis failed:")
 
 
 # -- sweeps --------------------------------------------------------------------
