@@ -319,24 +319,24 @@ def _cmd_decompose_tail(args) -> str:
 
 def _log_spaced(lo: int, hi: int, points: int | None) -> range | list[int]:
     if points is None:
-        return range(lo, hi + 1)  # lazy: a range past the cap is refused at its first row
+        return range(lo, hi + 1)  # lazy: a negative START is refused at its first row
     if points < 1:
         raise OutOfRange(f"--points must be >= 1, got {points}")
     if lo < 1:
         raise OutOfRange(f"--points needs --range START >= 1, got {lo}")
     if points == 1:
         return [lo]
-    try:
-        ratio = hi / lo
-        return sorted({round(lo * ratio ** (i / (points - 1))) for i in range(points)})
-    except OverflowError:
-        raise OutOfRange(f"--range {lo}..{hi}: STOP/START overflows a float") from None
+    ratio = hi / lo
+    return sorted({round(lo * ratio ** (i / (points - 1))) for i in range(points)})
 
 
 def _cmd_sweep(args) -> str:
     import csv
+    from .primes import SIEVE_LIMIT_CAP
 
     lo, hi = parse_range(args.range)
+    if hi > SIEVE_LIMIT_CAP:
+        raise OutOfRange(f"--range {lo}..{hi}: STOP exceeds the sieve cap {SIEVE_LIMIT_CAP}")
     bertrand = args.target == "bertrand"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -258,10 +258,12 @@ def test_usage_error_exit_code(capsys):
         ("fta-cert", "--poly", "1,2"),
         # |c|^2 = 10^600 overflows a float in the zero threshold
         ("fta-cert", "--poly", "1,0,1e300", "--grid", "16x16"),
-        # STOP/START = 10^400 overflows a float in the log spacing
+        # a STOP past the sieve cap is refused before any row, with or without --points
         ("sweep", "primes-norm", "--range", "1..1" + "0" * 400, "--points", "3"),
-        # refused at its first row, before the 10^11 values of the range exist
+        ("sweep", "primes-norm", "--range", "1..1" + "0" * 400),
         ("sweep", "bertrand", "--range", "100000000..100000000000"),
+        # a negative START is refused at its first row, before the range's other values exist
+        ("sweep", "twins", "--range", "-1" + "0" * 400 + "..5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -443,9 +445,9 @@ _radius_flag = st.one_of(st.just(()), st.sampled_from(_RADII).map(lambda r: ("--
 def _sweep_argv(draw):
     target = draw(st.sampled_from(["primes-norm", "twins", "bertrand"]))
     if draw(st.booleans()):
-        # every integer of a short range, reversed when the span is negative
-        lo = draw(st.integers(-3, 200) | st.just(_CAP_PLUS_ONE))
-        hi = lo + draw(st.integers(-3, 99))
+        # every integer of a short range, reversed when the span is negative, or a huge one
+        lo = draw(st.integers(-3, 200) | st.sampled_from([-(10**400), _CAP_PLUS_ONE]))
+        hi = draw(st.integers(-3, 99).map(lo.__add__) | st.just(10**400))
         return ("sweep", target, "--range", f"{lo}..{hi}")
     lo = draw(st.integers(-3, 20_000) | st.sampled_from([0, _CAP_PLUS_ONE]))
     hi = draw(st.integers(-3, 20_000) | st.sampled_from([lo, lo + 1, 10**400]))
