@@ -37,6 +37,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -317,17 +318,16 @@ def _cmd_decompose_tail(args) -> str:
     return emit(out)
 
 
-def _log_spaced(lo: int, hi: int, points: int | None) -> range | list[int]:
-    if points is None:
-        return range(lo, hi + 1)  # lazy: a negative START is refused at its first row
-    if points < 1:
+def _log_spaced(lo: int, hi: int, points: int | None) -> Sequence[int]:
+    if points is not None and points < 1:
         raise OutOfRange(f"--points must be >= 1, got {points}")
-    if lo < 1:
+    if points is not None and lo < 1:
         raise OutOfRange(f"--points needs --range START >= 1, got {lo}")
-    if points == 1:
-        return [lo]
-    ratio = hi / lo
-    return sorted({round(lo * ratio ** (i / (points - 1))) for i in range(points)})
+    # samples at most hi*ln(hi/lo)/(points-1) <= 1/2 apart round to every integer, as without
+    # --points; the range is lazy, so no set is built and a negative START fails at its row
+    if points is None or points - 1 >= 2 * hi * math.log(hi / lo):
+        return range(lo, hi + 1)
+    return sorted({round(lo * (hi / lo) ** (i / max(points - 1, 1))) for i in range(points)})
 
 
 def _cmd_sweep(args) -> str:
@@ -335,8 +335,9 @@ def _cmd_sweep(args) -> str:
     from .primes import SIEVE_LIMIT_CAP
 
     lo, hi = parse_range(args.range)
-    if hi > SIEVE_LIMIT_CAP:
-        raise OutOfRange(f"--range {lo}..{hi}: STOP exceeds the sieve cap {SIEVE_LIMIT_CAP}")
+    limit = {"bertrand": 2 * hi, "twins": hi + 2}.get(args.target, hi)  # the last row's sieve
+    if limit > SIEVE_LIMIT_CAP:
+        raise OutOfRange(f"--range {lo}..{hi} sieves to {limit}, past the cap {SIEVE_LIMIT_CAP}")
     bertrand = args.target == "bertrand"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -22,7 +22,7 @@ exact, and the two integral terms are the only floating-point values in
 the pipeline.
 
 Everything upstream of the quadrature is exact rational arithmetic, and
-numpy is imported only inside the three functions that run the quadrature.
+numpy is imported only in inner_disc_l2 and QuadratureGrid.radial_cells.
 The quadrature evaluates the grid in blocks of whole rings, so its memory is
 bounded by the block and not by the grid; ``fta-cert`` starts numpy with one
 OpenBLAS thread unless the user set OPENBLAS_NUM_THREADS.
@@ -31,6 +31,7 @@ OpenBLAS thread unless the user set OPENBLAS_NUM_THREADS.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -88,15 +89,6 @@ class Polynomial(Record):
 
     def __repr__(self) -> str:
         return "Polynomial([" + ", ".join(repr(c) for c in self.coeffs) + "])"
-
-    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        acc = np.zeros_like(z, dtype=np.complex128)
-        for c in reversed(self.coeffs):
-            acc *= z
-            acc += complex(c)
-        return acc
 
 
 class ReciprocalExpansion(Record):
@@ -231,6 +223,7 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
     radius = float(Fraction(r0))
     if radius <= 0:
         raise OutOfRange(f"r0 must be positive, got {r0}")
+    coeffs = [complex(c) for c in reversed(poly.coeffs)]
     mids, widths = grid.radial_cells(radius)
     theta = (np.arange(grid.n_theta) + 0.5) * (2.0 * math.pi / grid.n_theta)
     unit = np.exp(1j * theta)[None, :]
@@ -242,7 +235,11 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
     with np.errstate(all="ignore"):
         for start in range(0, grid.n_r, rows):
             nodes = mids[start:start + rows, None] * unit
-            magnitudes = np.abs(poly.evaluate_array(nodes))
+            values = np.zeros_like(nodes)
+            for c in coeffs:  # Horner
+                values *= nodes
+                values += c
+            magnitudes = np.abs(values)
             if not math.isfinite(magnitudes.max()):
                 raise OutOfRange(overflow)
             k = magnitudes.argmin()
@@ -285,11 +282,13 @@ def root_disc_certificate(poly: Polynomial, grid: QuadratureGrid | None = None) 
     try:
         annulus = annulus_l2_bound(poly, r0)
         inner = inner_disc_l2(poly, r0, grid)
-        a0_modulus = math.sqrt(float(poly.constant_term.abs_sq()))
+        a0_sq = float(poly.constant_term.abs_sq())
     except NearZeroDetected as witness:
         return CertificateReport(r0, annulus, None, None, abs(witness.point), grid, witness.point)
     except OverflowError as exc:
         raise OutOfRange(f"the float step overflowed: {exc}") from None
+    if a0_sq < sys.float_info.min:  # zero or subnormal: its root is not |a_0|
+        raise OutOfRange(f"the float step underflowed: |a_0|^2 is below {sys.float_info.min:.6g}")
     m_constant = inner + annulus
-    certified = a0_modulus * math.sqrt(m_constant / math.pi)
+    certified = math.sqrt(a0_sq) * math.sqrt(m_constant / math.pi)
     return CertificateReport(r0, annulus, inner, m_constant, certified, grid, None)

@@ -2,8 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import operator
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -258,10 +260,15 @@ def test_usage_error_exit_code(capsys):
         ("fta-cert", "--poly", "1,2"),
         # |c|^2 = 10^600 overflows a float in the zero threshold
         ("fta-cert", "--poly", "1,0,1e300", "--grid", "16x16"),
+        # |a_0|^2 = 10^-600 underflows to 0.0, where a certified radius 0.0 was false
+        ("fta-cert", "--poly", "1e-300,2i,-1/2,1e-150,1", "--grid", "16x16"),
         # a STOP past the sieve cap is refused before any row, with or without --points
         ("sweep", "primes-norm", "--range", "1..1" + "0" * 400, "--points", "3"),
         ("sweep", "primes-norm", "--range", "1..1" + "0" * 400),
         ("sweep", "bertrand", "--range", "100000000..100000000000"),
+        # ... or whose last row sieves past the cap: to 2*STOP, and to STOP + 2
+        ("sweep", "bertrand", "--range", "1..50000001"),
+        ("sweep", "twins", "--range", "1..99999999"),
         # a negative START is refused at its first row, before the range's other values exist
         ("sweep", "twins", "--range", "-1" + "0" * 400 + "..5"),
     ):
@@ -445,14 +452,19 @@ _radius_flag = st.one_of(st.just(()), st.sampled_from(_RADII).map(lambda r: ("--
 def _sweep_argv(draw):
     target = draw(st.sampled_from(["primes-norm", "twins", "bertrand"]))
     if draw(st.booleans()):
-        # every integer of a short range, reversed when the span is negative, or a huge one
+        # every integer of a short range, reversed when the span is negative, a huge one,
+        # or one whose STOP is just past the target's own sieve reach
         lo = draw(st.integers(-3, 200) | st.sampled_from([-(10**400), _CAP_PLUS_ONE]))
-        hi = draw(st.integers(-3, 99).map(lo.__add__) | st.just(10**400))
+        past = {"bertrand": primes.SIEVE_LIMIT_CAP // 2 + 1,
+                "twins": primes.SIEVE_LIMIT_CAP - 1}.get(target, _CAP_PLUS_ONE)
+        hi = draw(st.integers(-3, 99).map(lo.__add__) | st.sampled_from([10**400, past]))
         return ("sweep", target, "--range", f"{lo}..{hi}")
     lo = draw(st.integers(-3, 20_000) | st.sampled_from([0, _CAP_PLUS_ONE]))
     hi = draw(st.integers(-3, 20_000) | st.sampled_from([lo, lo + 1, 10**400]))
     range_text = draw(st.just(f"{lo}..{hi}") | st.sampled_from(["abc", "1..", "1..2..3"]))
-    points = draw(st.integers(-1, 6))
+    # 10^8 and 10^400 samples are dense on a range at most 50 wide: every integer, at once
+    points = draw(st.integers(-1, 6) | st.sampled_from([10**8, 10**400])
+                  if hi - lo <= 50 else st.integers(-1, 6))
     return ("sweep", target, "--range", range_text, "--points", str(points))
 
 
@@ -514,6 +526,36 @@ def test_sweep_primes_norm_monotone(capsys):
     code, out, _ = run_cli(capsys, "sweep", "primes-norm", "--range", "10..1000", "--points", "1")
     assert code == 0
     assert out.splitlines()[1:] == [lines[1]]
+
+
+def test_sweep_dense_points_are_every_integer(capsys):
+    # 10^8 samples of 1..2 build no set of 10^8 roundings
+    code, out, _ = run_cli(capsys, "sweep", "bertrand", "--range", "1..2", "--points", "100000000")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2"]
+
+
+def _set_of_roundings(lo, hi, points):
+    """The samples as they were built before dense --points became a range."""
+    if points == 1:
+        return [lo]
+    ratio = hi / lo
+    return sorted({round(lo * ratio ** (i / (points - 1))) for i in range(points)})
+
+
+def test_log_spaced_matches_the_set_of_roundings():
+    rng = random.Random(23)
+    dense = 0
+    for _ in range(500):
+        hi = rng.choice([rng.randint(1, 300), rng.randint(1, 10**8)])
+        lo = hi - rng.randint(0, min(hi - 1, 300))
+        # the dense threshold, drawn from both sides
+        threshold = 2 * hi * math.log(hi / lo) + 1
+        points = rng.randint(1, int(2 * threshold) + 2)
+        samples = cli._log_spaced(lo, hi, points)
+        dense += isinstance(samples, range)
+        assert list(samples) == _set_of_roundings(lo, hi, points), (lo, hi, points)
+    assert 100 < dense < 400
 
 
 def test_sweep_bertrand_all_true(capsys):
