@@ -335,8 +335,7 @@ def _cmd_sweep(args) -> str:
     from .primes import SIEVE_LIMIT_CAP
 
     lo, hi = parse_range(args.range)
-    limit = {"bertrand": 2 * hi, "twins": hi + 2}.get(args.target, hi)  # the last row's sieve
-    if limit > SIEVE_LIMIT_CAP:
+    if (limit := {"bertrand": 2 * hi, "twins": hi + 2}.get(args.target, hi)) > SIEVE_LIMIT_CAP:
         raise OutOfRange(f"--range {lo}..{hi} sieves to {limit}, past the cap {SIEVE_LIMIT_CAP}")
     bertrand = args.target == "bertrand"
     buf = io.StringIO()

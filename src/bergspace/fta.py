@@ -240,6 +240,7 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
                 values *= nodes
                 values += c
             magnitudes = np.abs(values)
+            del values  # before the next block's, so one block's values are held at a time
             if not math.isfinite(magnitudes.max()):
                 raise OutOfRange(overflow)
             k = magnitudes.argmin()
