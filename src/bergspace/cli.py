@@ -25,7 +25,11 @@ Usage examples:
     bergspace sweep bertrand --range 1..100
 
 Exact coefficients survive the shell as "num/den" tokens: series terms are
-"coeff@exponent" comma lists, complex coefficients "1/2+3/4i".
+"coeff@exponent" comma lists, complex coefficients "1/2+3/4i". A token in
+exponent notation ("1e-5") may have a decimal exponent of at most
+MAX_EXPONENT = 10^5 either way. fta-cert's radius is exact: --grid is read
+and checked but the certificate runs no quadrature, so no command imports
+numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import argparse
 import io
 import json
 import math
-import os
 import re
 import sys
 from collections.abc import Sequence
@@ -52,9 +55,17 @@ if TYPE_CHECKING:
 
 FULL_LISTING_MAX_DEGREE = 128
 
+# the largest decimal exponent of a rational token: Fraction("1e999999999")
+# would build 10^999999999 before anything could refuse it
+MAX_EXPONENT = 10**5
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
 BOUND_COMMENT = (
-    "certified by an area-integral argument; classical coefficient bounds "
-    "(Cauchy, Fujiwara) are usually tighter"
+    "every root lies in |z| < r0; some root lies in |z| <= radius: with roots z_i, "
+    "a_k/a_0 = (-1)^k e_k(1/z_1, ..., 1/z_n), so min|z_i|^k <= C(n,k) |a_0|/|a_k| "
+    "for each k with a_k != 0; radius is the least of these bounds, at k, exact when "
+    "rational and otherwise rounded up to a dyadic rational; certified_radius is "
+    "radius rounded up to 15 significant digits"
 )
 
 
@@ -62,8 +73,15 @@ BOUND_COMMENT = (
 
 
 def parse_rational(text: str) -> Fraction:
+    text = text.strip()
+    if match := _EXPONENT.search(text):
+        # read as Fraction reads it, "_" between digit groups; int() only on 6 digits
+        digits = match[1].lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > 6 or int(digits or 0) > MAX_EXPONENT:
+            raise OutOfRange(f"rational token {text!r} has an exponent past "
+                             f"the cap of {MAX_EXPONENT} either way")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise OutOfRange(f"bad rational {text!r}: {exc}") from None
 
@@ -176,15 +194,12 @@ def terms_json(series: SparseSeries) -> list:
 
 
 def certificate_report(report: CertificateReport) -> dict:
-    witness = report.root_witness
     return {
         "r0": fraction_json(report.r0),
-        "annulus_bound": report.annulus_bound,
-        "inner_integral": report.inner_integral,
-        "m_constant": report.m_constant,
-        "certified_radius": report.certified_radius,
-        "grid": f"{report.grid_spec.n_r}x{report.grid_spec.n_theta}",
-        "root_witness": None if witness is None else [witness.real, witness.imag],
+        "radius": fraction_json(report.radius),
+        "k": report.k,
+        # at most 15 significant digits already, so render_float changes only inf
+        "certified_radius": render_float(report.certified_radius),
         "comment": BOUND_COMMENT,
     }
 
@@ -214,14 +229,12 @@ def _cmd_inner(args) -> str:
 
 
 def _cmd_fta_cert(args) -> str:
-    # the quadrature makes no BLAS call, so numpy's first import (in fta)
-    # need not start OpenBLAS worker threads; a value the user set wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import fta
 
     poly = parse_poly(args.poly)
-    grid = parse_grid(args.grid) if args.grid else fta.QuadratureGrid()
-    return emit(certificate_report(fta.root_disc_certificate(poly, grid)))
+    if args.grid:
+        parse_grid(args.grid)  # refused as before; the certificate takes no grid
+    return emit(certificate_report(fta.root_disc_certificate(poly)))
 
 
 def _prime_sum(kind: str, n: int) -> PiRational:
@@ -397,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fta-cert", help="certified root-containing disc for a polynomial")
     p.add_argument("--poly", required=True, help='coefficients "a0,a1,...,an"')
-    p.add_argument("--grid", help="quadrature grid NRxNT")
+    p.add_argument("--grid", help="ignored: the certificate is exact and runs no quadrature "
+                   "(NRxNT is still checked)")
     p.set_defaults(handler=_cmd_fta_cert)
 
     p = sub.add_parser("primes", help="prime series norms and witnesses")

@@ -30,6 +30,7 @@ from ._record import Record
 from .errors import OutOfRange, PartitionViolation, TailNotSmall
 from .primes import (
     PrimePartition,
+    _odd_rough_flags,
     _recip_sums,
     make_partition,
     rough_numbers,
@@ -147,9 +148,12 @@ def step_one_norm_bound(pk: int, degree: int) -> StepOneBound:
     if degree < 1:
         raise OutOfRange(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree + 1)
+    # flags r + 1 for each rough r <= D: an odd r = 2i + 1 sets flag 2i + 2
     rough_succ = bytearray(degree + 2)
-    for r in rough_numbers(part, degree):
-        rough_succ[r + 1] = 1
+    if part.p1:
+        rough_succ[2::2] = _odd_rough_flags(part, degree)
+    else:
+        rough_succ[3:] = b"\x01" * (degree - 1)
     lhs, f_norm = map(PiRational, _recip_sums(degree + 1, [None, bytes(rough_succ)]))
     smooth_sum = sum_reciprocals(smooth_numbers(part, degree))
     rhs_coeff = (

@@ -1,37 +1,31 @@
-"""Root-disc certificates for complex polynomials via area-integral bounds.
+"""Root-disc certificates for complex polynomials, and the area integrals
+of 1/P that the paper's proof of the fundamental theorem of algebra uses.
 
-For P of degree n >= 2 with P(0) != 0, three quantities combine into a
-certificate:
+For P of degree n >= 2 with P(0) != 0, the certificate is exact:
 
-* an exact radius R0 beyond which |P(z)| >= |a_n z^n| / 2, so that the
-  square integral of 1/P over any annulus past R0 is at most
-  4 pi / (R0^(2n-2) |a_n|^2 (n-1));
-* a polar-grid quadrature estimate of the square integral of 1/P over
-  |z| < R0;
-* the constant orthogonal projection of conj(1/P) onto the holomorphic
-  square-integrable functions of any disc, which is conj(1/a_0) and forces
-  the square integral over |z| < R to be at least pi R^2 / |a_0|^2.
+* r0_bound gives a radius R0 beyond which |P(z)| >= |a_n z^n| / 2, so every
+  root lies in |z| < R0;
+* with roots z_1..z_n, P(z) = a_0 prod (1 - z/z_i), so
+  a_k / a_0 = (-1)^k e_k(1/z_1, ..., 1/z_n) and
+  |a_k / a_0| <= C(n, k) / min|z_i|^k; every k with a_k != 0 bounds
+  min|z_i| <= R_k = (C(n, k) |a_0| / |a_k|)^(1/k), and the certificate
+  reports R = min_k R_k, exact when rational and otherwise rounded up to a
+  dyadic rational, both by integer roots.
 
-If P had no root of modulus <= R*, with R* = |a_0| sqrt(M/pi) and M the sum
-of the two integral estimates, the constant-projection lower bound at radii
-just above R* would exceed M. The report therefore asserts a root in
-|z| <= R*. The reading of the classical contradiction argument as a
-bounded-disc certificate, with the quadrature standing in for the exact
-inner integral, is this module's reformulation; it is quantitative, not
-exact, and the two integral terms are the only floating-point values in
-the pipeline.
-
-Everything upstream of the quadrature is exact rational arithmetic, and
-numpy is imported only in inner_disc_l2 and QuadratureGrid.radial_cells.
+The paper's own argument reads through the Bergman space of a disc: were P
+root-free, the constant projection conj(1/a_0) of conj(1/P) would force the
+square integral of 1/P over |z| < R to be at least pi R^2 / |a_0|^2, while
+annulus_l2_bound bounds it past R0. Those pieces stay here as library
+functions, with inner_disc_l2, a polar-grid quadrature of the inner integral;
+it is the only code that imports numpy, and the certificate does not use it.
 The quadrature evaluates the grid in blocks of whole rings, so its memory is
-bounded by the block and not by the grid; ``fta-cert`` starts numpy with one
-OpenBLAS thread unless the user set OPENBLAS_NUM_THREADS.
+bounded by the block and not by the grid.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -204,7 +198,7 @@ class QuadratureGrid(Record):
 
 
 def zero_threshold(poly: Polynomial) -> float:
-    """|P| below this at a grid node is reported as a root witness."""
+    """|P| below this at a grid node makes inner_disc_l2 raise NearZeroDetected."""
     largest = max(math.sqrt(float(c.abs_sq())) for c in poly.coeffs)
     return 1e-9 * (1.0 + largest)
 
@@ -212,10 +206,9 @@ def zero_threshold(poly: Polynomial) -> float:
 def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = None) -> float:
     """Quadrature estimate of the square integral of 1/P over |z| < r0.
 
-    Deterministic for a fixed grid spec. Raises NearZeroDetected if some
-    node has |P| below the zero threshold; callers treat that node as a
-    found root, not as a failure. Raises OutOfRange if |P| at some node or
-    the estimate is not a finite float.
+    Deterministic for a fixed grid spec. Raises NearZeroDetected, carrying
+    the node, if some node has |P| below the zero threshold, and OutOfRange
+    if |P| at some node or the estimate is not a finite float.
     """
     import numpy as np
 
@@ -255,41 +248,62 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
     return value
 
 
-class CertificateReport(Record):
-    """A disc |z| <= certified_radius that must contain a root of P.
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 0 and k >= 1: isqrt while k is even, then
+    Newton's method from above, started from the root of x's top half."""
+    while k % 2 == 0:
+        x, k = math.isqrt(x), k // 2
+    if k == 1 or x < 2:
+        return x
+    t = x.bit_length() // (2 * k)
+    y = (_iroot(x >> k * t, k) + 1) << t if t else 1 << -(-x.bit_length() // k)
+    while (z := ((k - 1) * y + x // y ** (k - 1)) // k) < y:
+        y = z
+    return y
 
-    m_constant = inner_integral + annulus_bound bounds the square integral
-    of 1/P over every disc; certified_radius = |a_0| sqrt(m_constant / pi)
-    is where the constant-projection lower bound overtakes it. When the
-    quadrature tripped over a near-zero of P instead, root_witness holds
-    that node and certified_radius is its modulus.
+
+def _root_up(f: Fraction, k: int) -> Fraction:
+    """f^(1/k) when it is rational, else the least m / 2^s above it, m of about 53 bits."""
+    p, q = f.numerator, f.denominator
+    u, v = _iroot(p, k), _iroot(q, k)
+    if u**k == p and v**k == q:
+        return Fraction(u, v)
+    s = 53 - (p.bit_length() - q.bit_length()) // k
+    num, den = p << max(k * s, 0), q << max(-k * s, 0)
+    m = _iroot(num // den, k)
+    if m**k * den < num:
+        m += 1
+    return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
+
+
+class CertificateReport(Record):
+    """Every root of P lies in |z| < r0, and some root in |z| <= radius.
+
+    radius = (C(n, k) |a_0| / |a_k|)^(1/k), least over the k with a_k != 0
+    (the module docstring has the proof), exact when rational and otherwise
+    rounded up to a dyadic rational. certified_radius is the least decimal
+    of 15 significant digits at or above radius, as the float that prints as
+    it (below the normal range, the next float up that prints at or above
+    radius), and inf past the float range. root_witness is always None: no
+    float step runs, so none can trip over a near-zero of P.
     """
 
-    __slots__ = ("r0", "annulus_bound", "inner_integral", "m_constant", "certified_radius",
-                 "grid_spec", "root_witness")
+    __slots__ = ("r0", "radius", "k", "certified_radius", "root_witness")
     r0: Fraction
-    annulus_bound: float
-    inner_integral: float | None
-    m_constant: float | None
+    radius: Fraction
+    k: int
     certified_radius: float
-    grid_spec: QuadratureGrid
-    root_witness: complex | None
+    root_witness: None
 
 
-def root_disc_certificate(poly: Polynomial, grid: QuadratureGrid | None = None) -> CertificateReport:
-    """Certify a closed disc containing at least one root of P."""
-    grid = grid or QuadratureGrid()
+def root_disc_certificate(poly: Polynomial) -> CertificateReport:
+    """Certify a closed disc containing at least one root of P, exactly."""
     r0 = r0_bound(poly)
-    try:
-        annulus = annulus_l2_bound(poly, r0)
-        inner = inner_disc_l2(poly, r0, grid)
-        a0_sq = float(poly.constant_term.abs_sq())
-    except NearZeroDetected as witness:
-        return CertificateReport(r0, annulus, None, None, abs(witness.point), grid, witness.point)
-    except OverflowError as exc:
-        raise OutOfRange(f"the float step overflowed: {exc}") from None
-    if a0_sq < sys.float_info.min:  # zero or subnormal: its root is not |a_0|
-        raise OutOfRange(f"the float step underflowed: |a_0|^2 is below {sys.float_info.min:.6g}")
-    m_constant = inner + annulus
-    certified = math.sqrt(a0_sq) * math.sqrt(m_constant / math.pi)
-    return CertificateReport(r0, annulus, inner, m_constant, certified, grid, None)
+    n, a0_sq = poly.degree, poly.constant_term.abs_sq()
+    radius, k = min((_root_up(math.comb(n, k) ** 2 * a0_sq / c.abs_sq(), 2 * k), k)
+                    for k, c in enumerate(poly.coeffs) if k and not c.is_zero)
+    up = Context(prec=15, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    certified = float(up.divide(Decimal(radius.numerator), Decimal(radius.denominator)))
+    while math.isfinite(certified) and Fraction(repr(certified)) < radius:
+        certified = math.nextafter(certified, math.inf)
+    return CertificateReport(r0, radius, k, certified, None)

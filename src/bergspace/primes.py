@@ -12,7 +12,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from ._record import Record
@@ -23,25 +23,26 @@ from .series import SparseSeries
 __all__ = _EXPORTS["primes"]
 
 
-def _odd_survivors(limit: int, odd_primes: Iterable[int]) -> Iterator[int]:
-    # Odd n in [3, limit], limit >= 1, with no factor among odd_primes but
-    # themselves. Flag i stands for 2i+1. Marking from p^2 is enough when every
-    # odd prime below max(odd_primes) is passed: pm with m < p falls to a
-    # factor of m. A bytearray with slice assignment keeps numpy (and its
-    # ~0.1 s import) off this path; it runs about half numpy's speed.
+def _odd_flags(limit: int, odd_primes: Iterable[int]) -> bytearray:
+    # Flag i is set iff 2i+1 in [3, limit], limit >= 1, has no factor among
+    # odd_primes but itself. Marking from p^2 is enough when every odd prime
+    # below max(odd_primes) is passed: pm with m < p falls to a factor of m. A
+    # bytearray with slice assignment keeps numpy (and its ~0.1 s import) off
+    # this path; it runs about half numpy's speed.
     n = (limit + 1) // 2
     flags = bytearray(b"\x01") * n
     flags[0] = 0
     for p in odd_primes:
         start = p * p // 2
         flags[start::p] = bytes(len(range(start, n, p)))
-    return itertools.compress(range(1, limit + 1, 2), flags)
+    return flags
 
 
 def _sieve_list(limit: int) -> list[int]:
     if limit < 2:
         return []
-    return [2, *_odd_survivors(limit, _sieve_list(math.isqrt(limit))[1:])]
+    flags = _odd_flags(limit, _sieve_list(math.isqrt(limit))[1:])
+    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
 
 
 # The largest limit the sieve accepts. Its flags take about limit/2 bytes
@@ -188,17 +189,23 @@ def smooth_numbers(part: PrimePartition, limit: int) -> list[int]:
     return sorted(found)
 
 
+def _odd_rough_flags(part: PrimePartition, limit: int) -> bytearray:
+    """Flag i is set iff 2i+1 <= limit is rough; part.p1 must hold 2, limit >= 1."""
+    flags = _odd_flags(limit, part.p1[1:])
+    # below pk only 1 and the odd p1 primes survive the sieve
+    below = min(part.pk // 2, len(flags))
+    flags[:below] = bytes(below)
+    return flags
+
+
 def rough_numbers(part: PrimePartition, limit: int) -> list[int]:
     """All n in [2, limit] with no prime factor below pk, sorted."""
     if limit < 2:
         return []
     if not part.p1:
         return list(range(2, limit + 1))
-    # p1 holds 2, so only odd n can be rough; the odd p1 primes survive
-    # the sieve and sit below pk, before every rough number
-    survivors = list(_odd_survivors(limit, part.p1[1:]))
-    del survivors[: bisect_left(survivors, part.pk)]
-    return survivors
+    # p1 holds 2, so only odd n can be rough
+    return list(itertools.compress(range(1, limit + 1, 2), _odd_rough_flags(part, limit)))
 
 
 def euler_product_smooth(part: PrimePartition) -> Fraction:

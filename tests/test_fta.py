@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -289,7 +290,7 @@ def test_quadrature_overflow_is_refused():
     grid = QuadratureGrid(64, 64)
     assert math.isnan(one_shot_inner_disc_l2(poly, r0_bound(poly), grid))
     with pytest.raises(OutOfRange, match=r"float step overflowed .*R0 = 1e\+201"):
-        root_disc_certificate(poly, grid)
+        inner_disc_l2(poly, r0_bound(poly), grid)
 
 
 @pytest.mark.parametrize("n_r", [1024, 4096])
@@ -308,39 +309,51 @@ def test_quadrature_memory_does_not_grow_with_the_grid(n_r):
 # -- certificates -----------------------------------------------------------------
 
 
+def modulus_sq(root: complex) -> Fraction:
+    """|root|^2, exact for a float complex, which is a binary rational."""
+    return Fraction(root.real) ** 2 + Fraction(root.imag) ** 2
+
+
+def vieta_bound_sq(poly: Polynomial, k: int) -> Fraction:
+    """R_k^(2k) = C(n, k)^2 |a_0|^2 / |a_k|^2, written out independently."""
+    a0, ak = poly.coeffs[0], poly.coeffs[k]
+    return math.comb(poly.degree, k) ** 2 * (a0.re**2 + a0.im**2) / (ak.re**2 + ak.im**2)
+
+
+def assert_least_bound(report, poly):
+    """radius is at least R_k at its k, within 2^-50 of the least R_j over
+    every j with a_j != 0, and certified_radius rounds it up."""
+    k, radius = report.k, report.radius
+    assert radius ** (2 * k) >= vieta_bound_sq(poly, k)
+    below = radius * (1 - Fraction(1, 2**50))
+    for j, c in enumerate(poly.coeffs):
+        if j and not c.is_zero:
+            assert below ** (2 * j) < vieta_bound_sq(poly, j)
+    certified = report.certified_radius
+    if math.isfinite(certified):  # it prints as a decimal of 15 digits at or above radius
+        assert Fraction(repr(certified)) >= radius
+        assert float(f"{certified:.15g}") == certified
+    else:
+        assert radius > sys.float_info.max
+    assert report.root_witness is None
+
+
 def test_certificate_z2_minus_one():
     report = root_disc_certificate(Polynomial([-1, 0, 1]))
-    roots = np.roots([1, 0, -1])  # independent iterative root finder
-    assert report.certified_radius >= 1
-    assert min(abs(r) for r in roots) <= report.certified_radius + 1e-6
-    assert report.m_constant >= report.annulus_bound
-    expected = abs(complex(-1)) * math.sqrt(report.m_constant / math.pi)
-    assert report.certified_radius == pytest.approx(expected)
+    assert (report.radius, report.k, report.certified_radius) == (1, 2, 1.0)
+    assert report.r0 == 4
 
 
 def test_certificate_large_constant_term():
     report = root_disc_certificate(Polynomial([10**6, 0, 1]))
-    assert report.certified_radius >= 1_000  # roots at +-1000i
+    assert report.radius == 1_000  # roots at +-1000i
 
 
 def test_certificate_z_minus_2_z_minus_3():
+    # Newton's sum 1/2 + 1/3 = 5/6 gives 2 * 6/5; Vieta's product gives sqrt(6)
     report = root_disc_certificate(Polynomial([6, -5, 1]))
-    assert report.certified_radius >= 2
-
-
-def test_certificate_near_zero_becomes_witness():
-    # plant roots +-iy so that R0 = 4y^2 and iy sits on the grid: with
-    # c = mids[50]/radius resolution-invariant, y = 1/(4c) is a fixed point,
-    # and n_theta = 62 puts an angular node exactly at pi/2
-    grid = QuadratureGrid(64, 62)
-    unit_mids, _ = grid.radial_cells(1.0)
-    y = 1.0 / (4.0 * float(unit_mids[50]))
-    poly = poly_from_roots([1j * y, -1j * y])
-    assert float(r0_bound(poly)) == pytest.approx(4 * y * y)
-    report = root_disc_certificate(poly, grid)
-    assert report.root_witness is not None
-    assert report.certified_radius == pytest.approx(y, rel=1e-9)
-    assert report.inner_integral is None and report.m_constant is None
+    assert (report.radius, report.k) == (Fraction(12, 5), 1)
+    assert report.certified_radius == 2.4
 
 
 def test_certificate_soundness_random_roots():
@@ -349,27 +362,102 @@ def test_certificate_soundness_random_roots():
         roots = random_roots(rng, rng.randint(2, 6))
         poly = poly_from_roots(roots)
         report = root_disc_certificate(poly)
-        smallest = min(abs(r) for r in roots)
-        assert report.root_witness is not None or (
-            smallest <= report.certified_radius + 1e-6
-        )
+        assert min(map(modulus_sq, roots)) <= report.radius**2
+        assert_least_bound(report, poly)
+
+
+ROOT_GRID = 2**16
+
+
+def family_roots(rng, family, degree):
+    """The three root families of the benchmark's root-certs workload: moduli
+    uniform in 0.3-10, moduli uniform in 0.01-100, and a cluster of relative
+    width 1e-3 around a centre of modulus 0.5-20, rounded to the 2^-16 grid."""
+
+    def polar(modulus):
+        return modulus * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+    if family == "moderate":
+        roots = [polar(rng.uniform(0.3, 10.0)) for _ in range(degree)]
+    elif family == "spread":
+        roots = [polar(rng.uniform(0.01, 100.0)) for _ in range(degree)]
+    else:
+        centre = polar(rng.uniform(0.5, 20.0))
+        roots = [centre * (1 + polar(rng.uniform(0.0, 1e-3))) for _ in range(degree)]
+    return [complex(round(r.real * ROOT_GRID) / ROOT_GRID, round(r.imag * ROOT_GRID) / ROOT_GRID)
+            for r in roots]
+
+
+@pytest.mark.parametrize("family", ["moderate", "spread", "cluster"])
+def test_certificate_contains_a_root_in_every_family(family):
+    # the float quadrature's radius fell below every root on about a quarter of these
+    rng = random.Random(family)
+    for degree in (2, 3, 4, 5, 6, 7) * 5:
+        roots = [r for r in family_roots(rng, family, degree) if r]
+        poly = poly_from_roots(roots)
+        report = root_disc_certificate(poly)
+        assert min(map(modulus_sq, roots)) <= report.radius**2
+        assert_least_bound(report, poly)
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [Fraction(1, 10**300), Fraction(-7, 3), Fraction(10**300),
+     GaussianRational(Fraction(3, 10**150), Fraction(-4, 10**150)),
+     GaussianRational(Fraction(0), Fraction(10**300, 7))],
+    ids=["1e-300", "-7/3", "1e300", "gaussian-5e-150", "gaussian-i*1e300/7"],
+)
+def test_certificate_of_c_times_p_is_that_of_p(scale):
+    rng = random.Random(7)
+    for _ in range(10):
+        poly = random_polynomial(rng, 2, 7)
+        scaled = Polynomial([GaussianRational.of(scale) * c for c in poly.coeffs])
+        assert root_disc_certificate(scaled) == root_disc_certificate(poly)
+
+
+# rational points of the unit circle: 1, i, (3 + 4i)/5, (5 - 12i)/13, (-8 + 15i)/17
+UNIT_POINTS = [GaussianRational(Fraction(re), Fraction(im)) for re, im in
+               [(1, 0), (0, 1), ("3/5", "4/5"), ("5/13", "-12/13"), ("-8/17", "15/17")]]
+
+
+@pytest.mark.parametrize("rho", [Fraction(1), Fraction(5, 4), Fraction(1, 10**40), Fraction(3**50)])
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_roots_on_one_circle_give_its_radius_exactly(rho, degree):
+    # Vieta's product |a_0 / a_n| = rho^n is attained, so R = rho exactly
+    coeffs = [GaussianRational.of(1)]
+    for u in UNIT_POINTS[:degree]:  # times (z - rho u)
+        root = u * GaussianRational.of(rho)
+        coeffs = [GaussianRational(), *coeffs]
+        coeffs = [a - root * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    report = root_disc_certificate(Polynomial(coeffs))
+    assert report.radius == rho
+    # z^n - rho^n: its roots sit on the same circle, at irrational points
+    report = root_disc_certificate(Polynomial([-(rho**degree)] + [0] * (degree - 1) + [1]))
+    assert (report.radius, report.k) == (rho, degree)
+
+
+@pytest.mark.parametrize("exponent", [-5000, -1, 0, 1, 5000])
+@pytest.mark.parametrize("multiplier", [1, 2, 3])
+def test_radius_is_exact_or_tight_from_1e_minus_5000_to_1e5000(exponent, multiplier):
+    # 1 + a_2 z^2 with |a_2| = 1 / (multiplier 10^(2 exponent)): R^4 = multiplier^2 10^(4 exponent)
+    poly = Polynomial([1, 0, Fraction(1, multiplier * Fraction(10) ** (2 * exponent))])
+    report = root_disc_certificate(poly)
+    assert report.k == 2
+    if multiplier == 1:
+        assert report.radius == Fraction(10) ** exponent
+    else:
+        assert report.radius.denominator & (report.radius.denominator - 1) == 0  # dyadic
+        assert_least_bound(report, poly)
 
 
 def test_certificate_report_json_shape():
-    report = root_disc_certificate(Polynomial([6, -5, 1]), QuadratureGrid(64, 64))
+    report = root_disc_certificate(Polynomial([6, -5, 1]))
     data = cli.certificate_report(report)
-    assert list(data) == [
-        "r0",
-        "annulus_bound",
-        "inner_integral",
-        "m_constant",
-        "certified_radius",
-        "grid",
-        "root_witness",
-        "comment",
-    ]
-    assert data["r0"] == [report.r0.numerator, report.r0.denominator]
-    assert data["grid"] == "64x64"
-    assert data["root_witness"] is None
-    assert data["comment"] == cli.BOUND_COMMENT
-    assert "Cauchy" in data["comment"]
+    assert data == {
+        "r0": [24, 1],
+        "radius": [12, 5],
+        "k": 1,
+        "certified_radius": 2.4,
+        "comment": cli.BOUND_COMMENT,
+    }
+    assert "C(n,k)" in data["comment"]

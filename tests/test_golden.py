@@ -43,8 +43,8 @@ def test_rough_dedup_repr():
     assert sha256(repr(report)) == "ed067f2c366afc34f402583d1237425cc25fbf346f092323613e4457e2fb524c"
 
 
-# The README's "Command line" examples, less fta-cert: its float quadrature
-# depends on numpy's summation order.
+# The README's "Command line" examples, less fta-cert, whose report changed
+# when its radius became exact; it has its own digest below.
 README_COMMANDS = (
     ("norm", "--series", "1@0,1@1", "--radius", "1"),
     ("inner", "--f", "1@2", "--g", "1@2,1/2@3", "--radius", "1/2"),
@@ -66,3 +66,10 @@ def test_readme_commands_stdout(capsys):
         assert dispatch(list(argv)) == 0, argv
         stdout += capsys.readouterr().out
     assert sha256(stdout) == "6e74047b0306713fafd93a2fd8e3e37dfcca7f7d86dc4def62d6815d26afa937"
+
+
+def test_readme_fta_cert_stdout(capsys):
+    # every field is exact, and the float is the least 15-digit decimal above 12/5
+    assert dispatch(["fta-cert", "--poly", "6,-5,1", "--grid", "256x256"]) == 0
+    digest = "6b7fc33f637625b634d1906abae08ed968e6fc3c62e460c40632e8b28a994d3f"
+    assert sha256(capsys.readouterr().out) == digest
