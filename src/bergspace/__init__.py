@@ -2,8 +2,7 @@
 
 Sparse rational power series with coefficient-level inner products, prime
 series and their partial norms, orthogonal monomial decompositions of the
-geometric series, and quadrature-backed root-disc certificates for complex
-polynomials.
+geometric series, and exact root-disc certificates for complex polynomials.
 
 ``_EXPORTS`` is the one list of public names, and each submodule's
 ``__all__`` is its entry there. Every name is exported from the submodule

@@ -203,35 +203,32 @@ def _chain_holds(l: int, g: list[int], h: list[int], q_exps: list[int]) -> bool:
     )
 
 
-def _dedup_exponents(
-    pk: int, degree: int, p2_limit: int
-) -> tuple[list[int], tuple[int, ...], list[tuple[int, list[int], list[int]]]]:
-    """The checked greedy decomposition F_D = Q + sum G_l, on exponent lists.
-
-    Returns the rough numbers up to ``degree``, Q's exponents and (l, G_l's
-    exponents, H_l's exponents) for each rough l <= degree // pk, in
-    increasing l. H_l is the l-fold dilate of Q truncated at ``degree``, and
-    G_l keeps only monomials not already claimed by Q or an earlier G. For
-    every l it proves the chain ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2 by
-    integer checks that imply it (see ``_chain_holds``), raising
-    ArithmeticError if one fails.
-    Then one exact coverage check: every rough number up to ``degree`` is
-    claimed by Q or some G_l, or PartitionViolation is raised. Past
-    l = degree // pk, H_l and G_l are empty and the chain is
-    0 <= 0 <= (2/l) ||Q||^2. Q needs only the primes up to ``degree``, so
-    any ``p2_limit`` >= ``degree`` gives the same lists.
-    """
+def _rough_front(pk: int, degree: int, p2_limit: int) -> tuple[PrimePartition, list[int]]:
+    """The partition at ``degree`` and the rough numbers up to it, after the
+    refusals both rough-series builders share. Q needs only the primes up to
+    ``degree``, so any ``p2_limit`` >= ``degree`` gives the same lists."""
     if degree < 1:
         raise OutOfRange(f"degree must be >= 1, got {degree}")
     if p2_limit < degree:
-        raise OutOfRange(
-            f"p2_limit {p2_limit} < degree {degree}: Q would be incomplete"
-        )
+        raise OutOfRange(f"p2_limit {p2_limit} < degree {degree}: Q would be incomplete")
     part = make_partition(pk, degree)
-    rough = rough_numbers(part, degree)
+    return part, rough_numbers(part, degree)
+
+
+def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
+    """Greedy deduplicated decomposition of the rough-number series.
+
+    For each rough l <= degree // pk in increasing l, H_l is Q's l-fold
+    dilate truncated at ``degree`` and G_l keeps the monomials of H_l that
+    neither Q nor an earlier G_l claimed. ArithmeticError is raised unless
+    ``_chain_holds`` proves ||G_l||^2 <= ||H_l||^2 <= (2/l) ||Q||^2, and
+    PartitionViolation unless Q and the G_l claim every rough number up to
+    ``degree``. Each rough l past degree // pk gets the shared empty G_l and
+    a zero ||H_l||^2, so its chain is 0 <= 0 <= (2/l) ||Q||^2.
+    """
+    part, rough = _rough_front(pk, degree, p2_limit)
     q_exps = part.p2
     seen = set(q_exps)
-
     g_lists: list[tuple[int, list[int], list[int]]] = []
     for l in rough[: bisect_right(rough, degree // pk)]:
         h = _dilate(l, q_exps, degree)
@@ -240,20 +237,8 @@ def _dedup_exponents(
         if not _chain_holds(l, g, h, q_exps):
             raise ArithmeticError(f"norm chain violated at l = {l}")
         g_lists.append((l, g, h))
-
     if not seen.issuperset(rough):
         raise PartitionViolation(next(n for n in rough if n not in seen), [])
-    return rough, q_exps, g_lists
-
-
-def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
-    """Greedy deduplicated decomposition of the rough-number series.
-
-    The blocks and checks are ``_dedup_exponents``'s; the report adds the
-    exact ||H_l||^2 of every l, from the H_l it built, and the shared empty
-    G_l and zero norm of each rough l past degree // pk.
-    """
-    rough, q_exps, g_lists = _dedup_exponents(pk, degree, p2_limit)
     rest = rough[len(g_lists) :]
     empty, zero = SparseSeries.zero(degree), PiRational()
     g_blocks = [(l, SparseSeries.from_exponents(g, degree)) for l, g, _ in g_lists]
@@ -267,8 +252,8 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
 class StepTwoBound(Record):
     """||F_D||^2 against 2 ||Q||^2 (1 + sum 1/l).
 
-    The blocks are disjoint, so ||F_D||^2 = ||Q||^2 + ||sum G_l||^2, and the
-    second term is one exact sum of 1/(e+1) over every G_l's exponents.
+    Monomials are orthogonal, so ||F_D||^2 = ||Q||^2 + ||F_D - Q||^2, and
+    F_D - Q holds the composite rough numbers up to D, the union of the G_l.
     """
 
     __slots__ = ("pk", "degree", "p2_limit", "f_norm_sq", "q_norm_sq", "bound", "holds")
@@ -282,12 +267,19 @@ class StepTwoBound(Record):
 
 
 def step_two_norm_bound(pk: int, degree: int, p2_limit: int) -> StepTwoBound:
-    rough, q_exps, g_lists = _dedup_exponents(pk, degree, p2_limit)
-    q_norm = _unit_norm_sq(q_exps)
-    g_recip = sum_reciprocals([e + 1 for _, g, _ in g_lists for e in g])
-    f_norm = PiRational(sum_fractions([q_norm.coefficient, g_recip]))
-    rough_recip = sum_reciprocals(rough)
-    bound = q_norm * (2 * (1 + rough_recip))
+    """The step-two record at cutoff pk and truncation degree D.
+
+    The G_l only split F_D - Q, the composite rough numbers up to D, so
+    ||F_D||^2 adds pi * sum 1/(r+1) over those r to ||Q||^2 and no G_l is
+    built; ``rough_dedup`` proves the chain behind the bound and refuses the
+    same inputs.
+    """
+    part, rough = _rough_front(pk, degree, p2_limit)
+    q_norm = _unit_norm_sq(part.p2)
+    primes = set(part.p2)
+    composite = sum_reciprocals([r + 1 for r in rough if r not in primes])
+    f_norm = PiRational(sum_fractions([q_norm.coefficient, composite]))
+    bound = q_norm * (2 * (1 + sum_reciprocals(rough)))
     return StepTwoBound(pk, degree, p2_limit, f_norm, q_norm, bound, f_norm <= bound)
 
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from . import _EXPORTS
 from ._record import Record, set_field
 from .errors import DegreeTooSmall, NearZeroDetected, OutOfRange, ZeroConstantTerm
-from .rational import GaussianRational
+from .rational import GaussianRational, PiRational
 from .series import SparseSeries
 
 if TYPE_CHECKING:
@@ -154,8 +154,8 @@ def r0_bound(poly: Polynomial) -> Fraction:
     return max(Fraction(1), 2 * n * worst)
 
 
-def annulus_l2_bound(poly: Polynomial, r0: Fraction) -> float:
-    """4 pi / (r0^(2n-2) |a_n|^2 (n-1)): an upper bound for the square
+def annulus_l2_bound(poly: Polynomial, r0: Fraction) -> PiRational:
+    """4 pi / (r0^(2n-2) |a_n|^2 (n-1)), exactly: an upper bound for the square
     integral of 1/P over every annulus r0 < |z| < R, valid for any r0 at
     which |P| >= |a_n z^n| / 2 holds outward (r0_bound supplies one)."""
     if poly.degree < 2:
@@ -164,8 +164,7 @@ def annulus_l2_bound(poly: Polynomial, r0: Fraction) -> float:
     if r0 <= 0:
         raise OutOfRange(f"r0 must be positive, got {r0}")
     n = poly.degree
-    denom = r0 ** (2 * n - 2) * poly.leading.abs_sq() * (n - 1)
-    return 4.0 * math.pi * float(1 / denom)
+    return PiRational(4 / (r0 ** (2 * n - 2) * poly.leading.abs_sq() * (n - 1)))
 
 
 class QuadratureGrid(Record):
@@ -208,15 +207,23 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
 
     Deterministic for a fixed grid spec. Raises NearZeroDetected, carrying
     the node, if some node has |P| below the zero threshold, and OutOfRange
-    if |P| at some node or the estimate is not a finite float.
+    if r0 or a coefficient does not convert to a float, or if |P| at some
+    node or the estimate is not a finite float.
     """
     import numpy as np
 
     grid = grid or QuadratureGrid()
-    radius = float(Fraction(r0))
-    if radius <= 0:
+    r0 = Fraction(r0)
+    if r0 <= 0:
         raise OutOfRange(f"r0 must be positive, got {r0}")
-    coeffs = [complex(c) for c in reversed(poly.coeffs)]
+    try:
+        radius = float(r0)
+        coeffs = [complex(c) for c in reversed(poly.coeffs)]
+    except OverflowError:
+        radius = 0.0
+    if not radius:  # an overflow, or r0 rounded to 0
+        raise OutOfRange("the quadrature runs in floats: it needs r0 in about 5e-324 to 1.8e308 "
+                         "and each coefficient's real and imaginary parts below 1.8e308 in size")
     mids, widths = grid.radial_cells(radius)
     theta = (np.arange(grid.n_theta) + 0.5) * (2.0 * math.pi / grid.n_theta)
     unit = np.exp(1j * theta)[None, :]

@@ -23,7 +23,7 @@ from bergspace.fta import (
     root_disc_certificate,
     zero_threshold,
 )
-from bergspace.rational import GaussianRational
+from bergspace.rational import GaussianRational, PiRational
 
 from conftest import poly_from_roots, random_polynomial, random_roots
 
@@ -64,6 +64,10 @@ def test_reciprocal_requires_nonzero_constant():
         reciprocal_taylor(Polynomial([0, 0, 0, 1]), 4)
 
 
+FLOAT_RANGE = ("the quadrature runs in floats: it needs r0 in about 5e-324 to 1.8e308 "
+               "and each coefficient's real and imaginary parts below 1.8e308 in size")
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -75,8 +79,15 @@ def test_reciprocal_requires_nonzero_constant():
          "r0 must be positive, got 0"),
         (lambda: inner_disc_l2(Polynomial([1, 0, 1]), Fraction(0)), ValueError,
          "r0 must be positive, got 0"),
+        (lambda: inner_disc_l2(Polynomial([1, 0, 1]), Fraction(10**400)), OutOfRange,
+         FLOAT_RANGE),
+        (lambda: inner_disc_l2(Polynomial([1, 0, 10**400]), Fraction(1)), OutOfRange,
+         FLOAT_RANGE),
+        (lambda: inner_disc_l2(Polynomial([1, 0, 1]), Fraction(1, 10**400)), OutOfRange,
+         FLOAT_RANGE),
     ],
-    ids=["taylor-degree=-1", "projection-P(0)=0", "annulus-r0=0", "inner-disc-r0=0"],
+    ids=["taylor-degree=-1", "projection-P(0)=0", "annulus-r0=0", "inner-disc-r0=0",
+         "inner-disc-r0=1e400", "inner-disc-coefficient=1e400", "inner-disc-r0=1e-400"],
 )
 def test_refuses_inputs_outside_the_domain(call, error, message):
     with pytest.raises(error) as info:
@@ -173,15 +184,12 @@ def test_tail_bound_honored_on_samples():
 
 
 def test_annulus_bound_examples():
-    assert annulus_l2_bound(Polynomial([1, 0, 1]), Fraction(4)) == pytest.approx(
-        math.pi / 4
-    )
-    assert annulus_l2_bound(Polynomial([1, 0, 1]), Fraction(1)) == pytest.approx(
-        4 * math.pi
-    )
-    assert annulus_l2_bound(Polynomial([1, 0, 0, 2]), Fraction(2)) == pytest.approx(
-        math.pi / 32
-    )
+    assert annulus_l2_bound(Polynomial([1, 0, 1]), Fraction(4)) == PiRational(Fraction(1, 4))
+    assert annulus_l2_bound(Polynomial([1, 0, 1]), Fraction(1)) == PiRational(4)
+    assert annulus_l2_bound(Polynomial([1, 0, 0, 2]), Fraction(2)) == PiRational(Fraction(1, 32))
+    # 4 / |10^-200|^2, far past the float range
+    tiny_lead = Polynomial([1, 0, Fraction(1, 10**200)])
+    assert annulus_l2_bound(tiny_lead, Fraction(1)) == PiRational(4 * 10**400)
 
 
 def test_annulus_bound_monotone_in_r0():
@@ -190,7 +198,8 @@ def test_annulus_bound_monotone_in_r0():
         poly = random_polynomial(rng, 2, 6)
         r0 = r0_bound(poly)
         bounds = [annulus_l2_bound(poly, r0 * scale) for scale in (1, 2, 5, 10)]
-        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+        assert all(isinstance(b, PiRational) for b in bounds)
+        assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
 
 # -- quadrature ------------------------------------------------------------------
