@@ -198,7 +198,7 @@ class QuadratureGrid(Record):
 
 def zero_threshold(poly: Polynomial) -> float:
     """|P| below this at a grid node makes inner_disc_l2 raise NearZeroDetected."""
-    largest = max(math.sqrt(float(c.abs_sq())) for c in poly.coeffs)
+    largest = max(abs(complex(c)) for c in poly.coeffs)
     return 1e-9 * (1.0 + largest)
 
 

@@ -210,6 +210,14 @@ def test_inner_disc_constant_one_is_area():
     assert abs(value - math.pi) <= 1e-6 * math.pi
 
 
+def test_quadrature_takes_a_coefficient_whose_square_is_past_the_float_range():
+    # a_2 = 10^200 is a float and |a_2|^2 is not; the roots +-i/10^100 lie inside
+    poly = Polynomial([1, 0, 10**200])
+    assert zero_threshold(poly) == pytest.approx(1e191)
+    with pytest.raises(NearZeroDetected):
+        inner_disc_l2(poly, Fraction(1), QuadratureGrid(8, 8))
+
+
 def test_inner_disc_constant_two():
     value = inner_disc_l2(Polynomial([2]), Fraction(2))
     assert value == pytest.approx(math.pi, rel=1e-9)
