@@ -69,7 +69,6 @@ _EXPORTS = {
         "UNIT_DISC",
         "add",
         "compose_power",
-        "disjoint_support",
         "inner_product",
         "norm_sq",
         "scale",

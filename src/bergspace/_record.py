@@ -7,7 +7,7 @@ field. A record equals only a record of its own class, never a tuple.
 Every slot is read-only once ``__init__`` has set it through
 ``set_field``; copies and pickles are rebuilt through ``__init__``, so a
 subclass that writes its own ``__init__`` keeps taking the fields in slot
-order.
+order, or writes its own ``__reduce__``.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ class PartitionReport(Record):
         return total
 
 
-def _dilate(l: int, exps: list[int], degree: int) -> list[int]:
+def _dilate(l: int, exps: tuple[int, ...], degree: int) -> list[int]:
     """The l-fold dilate of the sorted exponents ``exps``, truncated at
     ``degree``: F(z^k) from F's, and H_l from Q's."""
     return [l * e for e in exps[: bisect_right(exps, degree // l)]]
@@ -87,37 +87,38 @@ def geometric_partition(pk: int, degree: int) -> PartitionReport:
     exactly 0..degree, so every exponent lies in exactly one block. Every
     block is a 0/1 series, so this alone proves that the blocks sum to
     1 + z + ... + z^degree. A failure raises PartitionViolation; that would
-    be a bug, and it is surfaced rather than repaired.
+    be a bug, and it is surfaced rather than repaired. Each block's exponents
+    are sorted by construction, and the check bounds them to 0..degree, so
+    the blocks are stored without ``from_exponents``' own checks.
     """
     if degree < 1:
         raise OutOfRange(f"degree must be >= 1, got {degree}")
     part = make_partition(pk, degree)
-    rough = rough_numbers(part, degree)
+    rough = tuple(rough_numbers(part, degree))
 
-    # (label, exponents, degree_bound): the monomials are exact, F's dilates truncated
-    layout = [("1", [0], None), ("z", [1], None), ("F(z)", rough, degree)]
+    ones = SparseSeries._ones
+    # the monomials are exact, F and its dilates truncated at the degree
+    blocks = [Block("1", ones((0,), None)), Block("z", ones((1,), None)),
+              Block("F(z)", ones(rough, degree))]
     for k in smooth_numbers(part, degree):
-        layout += [(f"z^{k}", [k], None), (f"F(z^{k})", _dilate(k, rough, degree), degree)]
-    blocks = tuple(
-        Block(label, SparseSeries.from_exponents(exponents, bound))
-        for label, exponents, bound in layout
-    )
-    covered = sorted(chain.from_iterable(exps for _, exps, _ in layout))
+        blocks += [Block(f"z^{k}", ones((k,), None)),
+                   Block(f"F(z^{k})", ones(_dilate(k, rough, degree), degree))]
+    covered = sorted(chain.from_iterable(b.series.support for b in blocks))
     if len(covered) != degree + 1 or not all(map(eq, covered, count())):
         # name the fault: a repeat or overlap in block order, else the
         # smallest missing exponent, else one outside 0..degree
         seen: dict[int, str] = {}
-        for label, exponents, _ in layout:
-            for e in exponents:
+        for b in blocks:
+            for e in b.series.support:
                 if e in seen:
-                    raise PartitionViolation(e, [seen[e], label])
-                seen[e] = label
+                    raise PartitionViolation(e, [seen[e], b.label])
+                seen[e] = b.label
         for e in range(degree + 1):
             if e not in seen:
                 raise PartitionViolation(e, [])
         e = next(e for e in seen if not 0 <= e <= degree)
         raise PartitionViolation(e, [seen[e]])
-    return PartitionReport(pk, degree, blocks)
+    return PartitionReport(pk, degree, tuple(blocks))
 
 
 class StepOneBound(Record):
@@ -241,7 +242,8 @@ def rough_dedup(pk: int, degree: int, p2_limit: int) -> DedupReport:
         raise PartitionViolation(next(n for n in rough if n not in seen), [])
     rest = rough[len(g_lists) :]
     empty, zero = SparseSeries.zero(degree), PiRational()
-    g_blocks = [(l, SparseSeries.from_exponents(g, degree)) for l, g, _ in g_lists]
+    # each G_l is a sub-list of H_l, a dilate of the sorted Q cut at degree
+    g_blocks = [(l, SparseSeries._ones(g, degree)) for l, g, _ in g_lists]
     h_norms = [(l, _unit_norm_sq(h)) for l, _, h in g_lists]
     g_blocks += [(l, empty) for l in rest]
     h_norms += [(l, zero) for l in rest]

@@ -207,8 +207,9 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
 
     Deterministic for a fixed grid spec. Raises NearZeroDetected, carrying
     the node, if some node has |P| below the zero threshold, and OutOfRange
-    if r0 or a coefficient does not convert to a float, or if |P| at some
-    node or the estimate is not a finite float.
+    if r0 or a coefficient does not convert to a float, a nonzero one
+    rounding to 0, or if |P| at some node or the estimate is not a finite
+    float.
     """
     import numpy as np
 
@@ -221,9 +222,11 @@ def inner_disc_l2(poly: Polynomial, r0: Fraction, grid: QuadratureGrid | None = 
         coeffs = [complex(c) for c in reversed(poly.coeffs)]
     except OverflowError:
         radius = 0.0
-    if not radius:  # an overflow, or r0 rounded to 0
-        raise OutOfRange("the quadrature runs in floats: it needs r0 in about 5e-324 to 1.8e308 "
-                         "and each coefficient's real and imaginary parts below 1.8e308 in size")
+    # an overflow, r0 rounded to 0, or a nonzero coefficient rounded to 0
+    if not radius or any(z == 0 and c for z, c in zip(coeffs, reversed(poly.coeffs))):
+        raise OutOfRange("the quadrature runs in floats: it needs r0 in about 5e-324 to 1.8e308, "
+                         "each coefficient's real and imaginary parts below 1.8e308 in size "
+                         "and each nonzero coefficient at least about 5e-324 in size")
     mids, widths = grid.radial_cells(radius)
     theta = (np.arange(grid.n_theta) + 0.5) * (2.0 * math.pi / grid.n_theta)
     unit = np.exp(1j * theta)[None, :]

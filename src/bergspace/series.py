@@ -10,12 +10,21 @@ inner product to
 so with rational coefficients and rational R every inner product and
 norm in this module is an exact rational multiple of pi.
 
+A ``SparseSeries`` is stored as two parallel tuples: its exponents in
+strictly increasing order, and their nonzero coefficients. The public
+constructors (``SparseSeries`` from a mapping, ``from_exponents`` from any
+iterable) check their input in full. The private ``SparseSeries._of``, and
+``_ones`` for a 0/1 series, store without a check; ``truncate`` and the
+decomposition builders call them only where their own construction or
+exact checks already prove the canonical form.
+
 All values are immutable and every operation is a pure function; there
 is no shared mutable state, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -54,16 +63,16 @@ class SparseSeries(Record):
     """Finitely many nonzero Gaussian-rational coefficients, indexed by
     nonnegative exponent.
 
-    Kept in canonical sparse form: no zero coefficient is ever stored, so
-    equality and disjointness of supports are structural. ``degree_bound``
-    records the truncation degree D when the series stands for the
-    truncation of an infinite series; None means the series is exact.
+    Kept in canonical sparse form: the exponents strictly increase and no
+    zero coefficient is ever stored, so equality is structural.
+    ``degree_bound`` records the truncation degree D when the series stands
+    for the truncation of an infinite series; None means the series is exact.
     """
 
-    __slots__ = ("_coeffs", "_degree_bound")
-    _coeffs: dict[int, GaussianRational]
+    __slots__ = ("_exponents", "_coeffs", "_degree_bound")
+    _exponents: tuple[int, ...]
+    _coeffs: tuple[GaussianRational, ...]
     _degree_bound: int | None
-    __hash__ = None  # the coefficients are a dict
 
     def __init__(
         self,
@@ -77,18 +86,40 @@ class SparseSeries(Record):
             c = GaussianRational.of(value)
             if not c.is_zero:
                 coeffs[exponent] = c
+        exponents = tuple(sorted(coeffs))
         if degree_bound is not None:
             if degree_bound < 0:
                 raise OutOfRange(f"degree_bound must be >= 0, got {degree_bound}")
-            over = [e for e in coeffs if e > degree_bound]
-            if over:
+            if exponents and exponents[-1] > degree_bound:
                 raise OutOfRange(
-                    f"exponent {max(over)} exceeds degree_bound {degree_bound}"
+                    f"exponent {exponents[-1]} exceeds degree_bound {degree_bound}"
                 )
-        set_field(self, "_coeffs", coeffs)
+        set_field(self, "_exponents", exponents)
+        set_field(self, "_coeffs", tuple(map(coeffs.__getitem__, exponents)))
         set_field(self, "_degree_bound", degree_bound)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return SparseSeries, (dict(self.terms()), self._degree_bound)
+
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _of(exponents, coeffs, degree_bound: int | None) -> SparseSeries:
+        """Store without a check. The caller proves the canonical form:
+        strictly increasing int exponents within 0..degree_bound, each with
+        a nonzero GaussianRational. Both are stored as tuples, so equality
+        stays field by field."""
+        series = object.__new__(SparseSeries)
+        set_field(series, "_exponents", tuple(exponents))
+        set_field(series, "_coeffs", tuple(coeffs))
+        set_field(series, "_degree_bound", degree_bound)
+        return series
+
+    @staticmethod
+    def _ones(exponents, degree_bound: int | None) -> SparseSeries:
+        """``_of`` for a 0/1 series: every coefficient is 1."""
+        return SparseSeries._of(exponents, (GAUSSIAN_ONE,) * len(exponents), degree_bound)
 
     @staticmethod
     def zero(degree_bound: int | None = None) -> SparseSeries:
@@ -105,23 +136,20 @@ class SparseSeries(Record):
 
     @staticmethod
     def from_exponents(exponents, degree_bound: int | None = None) -> SparseSeries:
-        """0/1 series with the given exponent set.
+        """0/1 series with the given exponent set, from any iterable.
 
-        The set is checked once, in bulk: plain int exponents within
-        0..degree_bound. Anything else takes the general constructor, which
-        accepts or refuses it exponent by exponent.
+        The set is checked once, in bulk: plain int exponents, sorted once,
+        whose least is >= 0 and greatest within degree_bound. Anything else
+        takes the general constructor, which accepts or refuses it exponent
+        by exponent.
         """
-        coeffs = dict.fromkeys(exponents, GAUSSIAN_ONE)
-        if not (
-            set(map(type, coeffs)) <= {int}
-            and min(coeffs, default=0) >= 0
-            and (degree_bound is None or max(coeffs, default=0) <= degree_bound)
-        ):
-            return SparseSeries(coeffs, degree_bound)
-        series = object.__new__(SparseSeries)
-        set_field(series, "_coeffs", coeffs)
-        set_field(series, "_degree_bound", degree_bound)
-        return series
+        distinct = dict.fromkeys(exponents)
+        if set(map(type, distinct)) <= {int}:
+            exps = sorted(distinct)
+            low, high = (exps[0], exps[-1]) if exps else (0, 0)
+            if low >= 0 and (degree_bound is None or high <= degree_bound):
+                return SparseSeries._ones(exps, degree_bound)
+        return SparseSeries(dict.fromkeys(distinct, GAUSSIAN_ONE), degree_bound)
 
     # -- inspection --------------------------------------------------------
 
@@ -131,22 +159,24 @@ class SparseSeries(Record):
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return self._exponents
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._exponents
 
     def coefficient(self, exponent: int) -> GaussianRational:
-        return self._coeffs.get(exponent, GaussianRational())
+        i = bisect_left(self._exponents, exponent)
+        if i < len(self._exponents) and self._exponents[i] == exponent:
+            return self._coeffs[i]
+        return GaussianRational()
 
     def terms(self) -> Iterator[tuple[int, GaussianRational]]:
         """(exponent, coefficient) pairs in increasing exponent order."""
-        for e in sorted(self._coeffs):
-            yield e, self._coeffs[e]
+        return zip(self._exponents, self._coeffs)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._exponents)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -181,8 +211,8 @@ def add(f: SparseSeries, g: SparseSeries) -> SparseSeries:
     only faithful up to degree D.
     """
     bound = _min_bound(f.degree_bound, g.degree_bound)
-    coeffs: dict[int, GaussianRational] = dict(f._coeffs)
-    for e, c in g._coeffs.items():
+    coeffs: dict[int, GaussianRational] = dict(f.terms())
+    for e, c in g.terms():
         coeffs[e] = coeffs.get(e, GaussianRational()) + c
     if bound is not None:
         coeffs = {e: c for e, c in coeffs.items() if e <= bound}
@@ -191,16 +221,15 @@ def add(f: SparseSeries, g: SparseSeries) -> SparseSeries:
 
 def scale(f: SparseSeries, c: GaussianLike) -> SparseSeries:
     c = GaussianRational.of(c)
-    return SparseSeries({e: c * v for e, v in f._coeffs.items()}, f.degree_bound)
+    return SparseSeries({e: c * v for e, v in f.terms()}, f.degree_bound)
 
 
 def truncate(f: SparseSeries, degree: int) -> SparseSeries:
     """Drop all exponents above ``degree`` and record it as the bound."""
     if degree < 0:
         raise OutOfRange(f"truncation degree must be >= 0, got {degree}")
-    return SparseSeries(
-        {e: c for e, c in f._coeffs.items() if e <= degree}, degree_bound=degree
-    )
+    n = bisect_right(f._exponents, degree)
+    return SparseSeries._of(f._exponents[:n], f._coeffs[:n], degree)
 
 
 def compose_power(f: SparseSeries, m: int) -> SparseSeries:
@@ -208,25 +237,17 @@ def compose_power(f: SparseSeries, m: int) -> SparseSeries:
     if m < 1:
         raise OutOfRange(f"power substitution needs m >= 1, got {m}")
     bound = None if f.degree_bound is None else f.degree_bound * m
-    return SparseSeries({e * m: c for e, c in f._coeffs.items()}, bound)
-
-
-def disjoint_support(f: SparseSeries, g: SparseSeries) -> bool:
-    """True iff no exponent carries a nonzero coefficient in both series.
-
-    Disjoint supports make f and g orthogonal on every disc.
-    """
-    small, large = (f._coeffs, g._coeffs) if len(f) <= len(g) else (g._coeffs, f._coeffs)
-    return not any(e in large for e in small)
+    return SparseSeries({e * m: c for e, c in f.terms()}, bound)
 
 
 def inner_product(f: SparseSeries, g: SparseSeries, disc: Disc = UNIT_DISC) -> PiRational:
     """<f, g> on the disc: pi * sum R^(2n+2) f_n conj(g_n) / (n+1), exact."""
     radius = disc.radius
+    g_coeffs = dict(g.terms())
     re_terms: list[Fraction] = []
     im_terms: list[Fraction] = []
-    for e, fc in f._coeffs.items():
-        gc = g._coeffs.get(e)
+    for e, fc in f.terms():
+        gc = g_coeffs.get(e)
         if gc is None:
             continue
         prod = fc * gc.conjugate()
@@ -249,11 +270,10 @@ def norm_sq(f: SparseSeries, disc: Disc = UNIT_DISC) -> PiRational:
     a_pow = b_pow = 1
     last = -1
     nums, dens = [], []
-    for e in sorted(f._coeffs):
+    for e, c in f.terms():
         a_pow *= a2 ** (e - last)
         b_pow *= b2 ** (e - last)
         last = e
-        c = f._coeffs[e]
         re, im = c.re, c.im
         p, q = re.numerator, re.denominator
         s, t = im.numerator, im.denominator

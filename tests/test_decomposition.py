@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
@@ -84,8 +85,12 @@ def test_partition_parseval():
         (rough_numbers, lambda rough: sorted(7 if e == 5 else e for e in rough), 7, ["F(z)", "F(z)"]),
         # a smooth k past the degree: the z^64 block lies outside 0..50
         (smooth_numbers, lambda smooth: smooth + [64], 64, ["z^64"]),
+        # a rough exponent past the degree: F(z) lies outside 0..50; the
+        # check runs before any block is built, so no block refuses it first
+        (rough_numbers, lambda rough: rough + [64], 64, ["F(z)"]),
     ],
-    ids=["rough-gap", "rough-overlap", "rough-repeat-and-gap", "smooth-past-degree"],
+    ids=["rough-gap", "rough-overlap", "rough-repeat-and-gap", "smooth-past-degree",
+         "rough-past-degree"],
 )
 def test_partition_coverage_check_catches_a_wrong_rough_set(
     monkeypatch, patched, corrupt, exponent, labels
@@ -96,14 +101,6 @@ def test_partition_coverage_check_catches_a_wrong_rough_set(
     with pytest.raises(PartitionViolation) as info:
         geometric_partition(3, 50)
     assert (info.value.exponent, info.value.labels) == (exponent, labels)
-
-
-def test_partition_rough_exponent_past_the_degree_is_refused_by_the_block(monkeypatch):
-    monkeypatch.setattr(
-        decomposition, "rough_numbers", lambda part, limit: rough_numbers(part, limit) + [64]
-    )
-    with pytest.raises(ValueError, match="exponent 64 exceeds degree_bound 50"):
-        geometric_partition(3, 50)
 
 
 # pk -> sha256 of repr([sorted(coverage.items()) for D in COVERAGE_DEGREES]),
@@ -300,6 +297,22 @@ def test_dedup_h_norms_match_dilate_then_truncate(pk, degree):
     report = rough_dedup(pk, degree, degree)
     for l, h_norm in report.h_norms:
         assert h_norm == norm_sq(truncate(compose_power(report.q_block, l), degree))
+
+
+@pytest.mark.parametrize("pk", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("degree", [1, 2, 9, 64, 301])
+def test_builder_blocks_equal_the_validated_series(pk, degree):
+    # both builders store their blocks without the constructor's checks;
+    # each block must be the series from_exponents checks from its support
+    dedup = rough_dedup(pk, degree, degree)
+    blocks = [b.series for b in geometric_partition(pk, degree).blocks]
+    blocks += [dedup.q_block] + [g for _, g in dedup.g_blocks]
+    for built in blocks:
+        checked = SparseSeries.from_exponents(built.support, built.degree_bound)
+        for twin in (built, pickle.loads(pickle.dumps(built))):
+            assert twin == checked and hash(twin) == hash(checked)
+            assert repr(twin) == repr(checked)
+            assert type(twin.support) is tuple and type(twin._coeffs) is tuple
 
 
 # -- rough-series norm bound -----------------------------------------------------

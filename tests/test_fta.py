@@ -64,8 +64,9 @@ def test_reciprocal_requires_nonzero_constant():
         reciprocal_taylor(Polynomial([0, 0, 0, 1]), 4)
 
 
-FLOAT_RANGE = ("the quadrature runs in floats: it needs r0 in about 5e-324 to 1.8e308 "
-               "and each coefficient's real and imaginary parts below 1.8e308 in size")
+FLOAT_RANGE = ("the quadrature runs in floats: it needs r0 in about 5e-324 to 1.8e308, "
+               "each coefficient's real and imaginary parts below 1.8e308 in size "
+               "and each nonzero coefficient at least about 5e-324 in size")
 
 
 @pytest.mark.parametrize(
@@ -85,9 +86,13 @@ FLOAT_RANGE = ("the quadrature runs in floats: it needs r0 in about 5e-324 to 1.
          FLOAT_RANGE),
         (lambda: inner_disc_l2(Polynomial([1, 0, 1]), Fraction(1, 10**400)), OutOfRange,
          FLOAT_RANGE),
+        # a nonzero constant that rounds to 0 would read as a root
+        (lambda: inner_disc_l2(Polynomial([Fraction(1, 10**400)]), Fraction(1),
+                               QuadratureGrid(8, 8)), OutOfRange, FLOAT_RANGE),
     ],
     ids=["taylor-degree=-1", "projection-P(0)=0", "annulus-r0=0", "inner-disc-r0=0",
-         "inner-disc-r0=1e400", "inner-disc-coefficient=1e400", "inner-disc-r0=1e-400"],
+         "inner-disc-r0=1e400", "inner-disc-coefficient=1e400", "inner-disc-r0=1e-400",
+         "inner-disc-coefficient=1e-400"],
 )
 def test_refuses_inputs_outside_the_domain(call, error, message):
     with pytest.raises(error) as info:

@@ -11,13 +11,11 @@ from bergspace import (
     UNIT_DISC,
     add,
     compose_power,
-    disjoint_support,
     inner_product,
     norm_sq,
     scale,
     truncate,
 )
-from bergspace.primes import make_partition, prime_series, rough_numbers
 from bergspace.rational import GaussianRational, PiRational
 
 from conftest import oracle_inner_product, random_rational_series, series_as_pairs
@@ -48,13 +46,24 @@ def test_invalid_exponents_rejected():
 
 @pytest.mark.parametrize(
     "exponents, bound",
-    [([1.0], None), ([3, -1], None), ([0, 5], 3), ([0], -1), ([], -1)],
+    [
+        ([1.0], None),
+        ([3, -1], None),
+        ([0, 5], 3),
+        ([0], -1),
+        ([], -1),
+        ([5, 0, 5, 2], 4),
+        ((e for e in (3, -2, 1)), None),
+        ([2**70], 2**70 - 1),
+        (range(6, -2, -1), None),
+    ],
 )
 def test_from_exponents_refuses_as_the_general_constructor(exponents, bound):
+    exponents = list(exponents)  # a one-shot generator is read once here, once below
     with pytest.raises(ValueError) as general:
         SparseSeries({e: 1 for e in exponents}, bound)
     with pytest.raises(ValueError) as bulk:
-        SparseSeries.from_exponents(exponents, bound)
+        SparseSeries.from_exponents(iter(exponents), bound)
     assert str(bulk.value) == str(general.value)
 
 
@@ -68,16 +77,25 @@ def test_from_exponents_refuses_as_the_general_constructor(exponents, bound):
         (range(5), 4),
         ((9, 1), None),
         (range(9), 8),
+        ([5, 0, 5, 2], 5),
+        ((e for e in (4, 1, 4, 0)), None),
+        ([3, 2**70], 2**70),
+        (range(7, -1, -1), 7),
     ],
 )
 def test_from_exponents_accepts_as_the_general_constructor(exponents, bound):
+    given = exponents
+    if not isinstance(given, (list, tuple, range)):  # a one-shot generator
+        exponents = list(given)
+        given = iter(exponents)
     general = SparseSeries({e: 1 for e in exponents}, bound)
-    bulk = [SparseSeries.from_exponents(exponents, bound)]
-    if isinstance(exponents, range):  # range(bound + 1): also 1 + z + ... + z^bound
+    bulk = [SparseSeries.from_exponents(given, bound)]
+    if isinstance(exponents, range) and exponents == range(bound + 1):  # 1 + ... + z^bound
         bulk.append(SparseSeries.geometric(bound))
     for series in bulk:
-        assert series == general
+        assert series == general and hash(series) == hash(general)
         assert repr(series) == repr(general)
+        assert series.support == tuple(sorted(set(exponents)))
 
 
 def test_from_exponents_coerces_no_coefficient(monkeypatch):
@@ -187,23 +205,6 @@ def test_compose_power_examples():
 def test_compose_power_scales_degree_bound():
     f = SparseSeries({1: 1}, degree_bound=4)
     assert compose_power(f, 3).degree_bound == 12
-
-
-def test_disjoint_support_examples():
-    assert disjoint_support(SparseSeries.monomial(2), SparseSeries.monomial(3))
-    assert not disjoint_support(ONE + Z, SparseSeries({1: 1, 2: 1}))
-
-
-def test_disjoint_support_prime_series_vs_shifted_rough():
-    # primes up to 20 against the 2-dilate of the rough series (cutoff 3),
-    # checked against brute-force exponent enumeration
-    p = prime_series(20)
-    part = make_partition(3, 20)
-    rough = rough_numbers(part, 10)
-    shifted = SparseSeries.from_exponents([2 * n for n in rough], degree_bound=20)
-    expected = not (set(p.support) & set(shifted.support))
-    assert disjoint_support(p, shifted) == expected
-    assert expected  # 2n is even and > 2, never prime
 
 
 def test_add_scale_truncate_examples():
