@@ -12,13 +12,15 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _EXPORTS
 from ._record import Record
 from .errors import OutOfRange
 from .rational import PiRational, _coprime_fraction, _product, _sum_coprime, sum_reciprocals
-from .series import SparseSeries
+
+if TYPE_CHECKING:
+    from .series import SparseSeries
 
 __all__ = _EXPORTS["primes"]
 
@@ -101,6 +103,9 @@ def _recip_succ_window(lo: int, hi: int) -> Fraction:
 
 def prime_series(limit: int) -> SparseSeries:
     """sum of z^p over primes p <= limit, truncated at ``limit``."""
+    # imported here, so the prime sums and sweeps do not load the series module
+    from .series import SparseSeries
+
     if limit < 0:
         raise OutOfRange(f"limit must be >= 0, got {limit}")
     return SparseSeries.from_exponents(_primes_up_to(limit), degree_bound=limit)

@@ -45,9 +45,8 @@ def _sum_ratios(nums: list[int], dens: list[int]) -> Fraction:
     Balanced merging keeps the two sides of every addition comparable in
     size, which matters when summing thousands of unit fractions. Each merge
     puts its pair over the lcm of their denominators and leaves the
-    numerator unreduced, so the one gcd of a large numerator is the one the
-    final Fraction takes. A zero denominator stays zero up the tree and
-    raises ZeroDivisionError.
+    numerator unreduced, so one gcd of the final pair reduces the sum. A
+    zero denominator stays zero up the tree and raises ZeroDivisionError.
     """
     while len(nums) > 1:
         merged_nums, merged_dens = [], []
@@ -60,7 +59,11 @@ def _sum_ratios(nums: list[int], dens: list[int]) -> Fraction:
             merged_nums.append(nums[-1])
             merged_dens.append(dens[-1])
         nums, dens = merged_nums, merged_dens
-    return Fraction(nums[0], dens[0]) if nums else Fraction(0)
+    num, den = (nums[0], dens[0]) if nums else (0, 1)
+    if not den:
+        raise ZeroDivisionError("zero denominator in an exact sum")
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return _coprime_fraction(num // g, den // g)
 
 
 def _pair_products(xs: list[int]) -> list[int]:
@@ -230,8 +233,12 @@ class PiRational(Record):
     imag_coefficient: Fraction
 
     def __init__(self, coefficient: RationalLike = _ZERO, imag_coefficient: RationalLike = _ZERO):
-        set_field(self, "coefficient", _as_fraction(coefficient))
-        set_field(self, "imag_coefficient", _as_fraction(imag_coefficient))
+        if type(coefficient) is not Fraction:
+            coefficient = _as_fraction(coefficient)
+        if type(imag_coefficient) is not Fraction:
+            imag_coefficient = _as_fraction(imag_coefficient)
+        set_field(self, "coefficient", coefficient)
+        set_field(self, "imag_coefficient", imag_coefficient)
 
     @property
     def is_zero(self) -> bool:

@@ -833,3 +833,21 @@ def test_norm_command_loads_only_what_it_uses():
     )
     assert "bergspace.series" in added
     assert not added & {"bergspace.fta", "bergspace.decomposition", "dataclasses"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["primes", "norm", "--limit", "10000"], ["sweep", "bertrand", "--range", "1..100"]]
+)
+def test_prime_sums_load_no_series(argv):
+    added = modules_added_by(
+        "import contextlib, io\n"
+        "from bergspace import cli\n"
+        f"sys.argv = ['bergspace', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main()\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+    )
+    assert "bergspace.primes" in added
+    assert not added & {"bergspace.series", "bergspace.fta", "bergspace.decomposition"}

@@ -292,11 +292,76 @@ def test_dedup_chain_check_catches_an_undilated_h(monkeypatch, pk):
     assert step_two_norm_bound(pk, 200, 200) == step_two
 
 
-@pytest.mark.parametrize("pk,degree", [(2, 200), (3, 500), (7, 600)])
+# at (2, 3400) H_2 holds the 266 primes up to 1700, past the short merge
+@pytest.mark.parametrize("pk,degree", [(2, 200), (3, 500), (7, 600), (2, 3400)])
 def test_dedup_h_norms_match_dilate_then_truncate(pk, degree):
     report = rough_dedup(pk, degree, degree)
     for l, h_norm in report.h_norms:
         assert h_norm == norm_sq(truncate(compose_power(report.q_block, l), degree))
+
+
+def greedy_dedup(pk, degree):
+    """The dedup blocks and ||H_l||^2 built greedily with a seen-set: each
+    rough l <= degree // pk in increasing order keeps the monomials of H_l
+    that neither Q nor an earlier l took. Rough l past degree // pk have an
+    empty H_l."""
+    part = make_partition(pk, degree)
+    q = part.p2
+    seen = set(q)
+    blocks, norms = [], []
+    for l in rough_numbers(part, degree):
+        h = [l * p for p in q if l * p <= degree]
+        g = [e for e in h if e not in seen]
+        seen.update(g)
+        blocks.append((l, tuple(g)))
+        norms.append((l, PiRational(sum((Fraction(1, e + 1) for e in h), Fraction(0)))))
+    return q, blocks, norms
+
+
+@pytest.mark.parametrize("pk", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 8, 9, 10, 26, 27, 28, 48, 49, 50, 120, 121,
+                                    122, 127, 128, 129, 342, 343, 344, 1000])
+def test_dedup_equals_the_greedy_seen_set_construction(pk, degree):
+    q, blocks, norms = greedy_dedup(pk, degree)
+    report = rough_dedup(pk, degree, degree)
+    assert report.q_block.support == q
+    assert [(l, g.support) for l, g in report.g_blocks] == blocks
+    assert list(report.h_norms) == norms
+
+
+def test_empty_dedup_blocks_are_the_zero_series():
+    # 60 of the 76 rough l <= 2014 // 7 leave G_l empty, as do all l past it
+    report = rough_dedup(7, 2014, 2014)
+    empty = [g for l, g in report.g_blocks if g.is_zero]
+    assert sum(g.is_zero for l, g in report.g_blocks if l <= 2014 // 7) == 60
+    assert len(empty) == len(report.g_blocks) - 16 and all(g is empty[0] for g in empty)
+    zero = SparseSeries.zero(2014)
+    for twin in (empty[0], pickle.loads(pickle.dumps(empty[0]))):
+        assert twin == zero and hash(twin) == hash(zero) and repr(twin) == repr(zero)
+
+
+def test_dedup_coverage_check_catches_a_repeated_exponent(monkeypatch):
+    # P+(15) = 5; read as 3, G_15 starts at 15 * 3 = 45, which G_9 took
+    original = decomposition._largest_prime_factors
+
+    def lowered(primes, top):
+        largest = original(primes, top)
+        largest[15] = 3
+        return largest
+
+    monkeypatch.setattr(decomposition, "_largest_prime_factors", lowered)
+    with pytest.raises(PartitionViolation) as info:
+        rough_dedup(3, 100, 100)
+    assert (info.value.exponent, info.value.labels) == (45, [])
+
+
+@pytest.mark.parametrize("length", [255, 256, 257])
+def test_unit_norm_sums_either_side_of_the_short_merge(length):
+    exponents = [3 * p for p in primes._primes_up_to(10**4)[:length]]
+    expected = sum((Fraction(1, e + 1) for e in exponents), Fraction(0))
+    assert decomposition._unit_norm_sq(exponents) == PiRational(expected)
+    coefficient = decomposition._unit_norm_sq(exponents).coefficient
+    assert gcd(coefficient.numerator, coefficient.denominator) == 1
 
 
 @pytest.mark.parametrize("pk", [2, 3, 5, 7, 11])

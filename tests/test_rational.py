@@ -212,3 +212,36 @@ def test_sum_reciprocals_rejects_a_zero_denominator():
     for dens in ([3, 0], [0], [0, 3], [0, 0], [2, 5, 0, 7, 9]):
         with pytest.raises(ZeroDivisionError):
             sum_reciprocals(dens)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 127, 128, 129, 255, 256, 257, 600])
+def test_sums_of_signed_terms_are_reduced_with_a_positive_denominator(length):
+    # negative denominators leave the merged pair's denominator negative,
+    # which the final reduction must turn positive
+    dens = [(-1) ** i * (i % 37 + 1) * 6 for i in range(length)]
+    total = sum_reciprocals(dens)
+    assert total == sum((Fraction(1, d) for d in dens), Fraction(0))
+    assert_reduced(total)
+    assert_reduced(sum_reciprocals([-d for d in dens]))
+    items = [Fraction(i - length // 2, d) for i, d in enumerate(dens)]
+    total = sum_fractions(items)
+    assert total == sum(items, Fraction(0))
+    assert_reduced(total)
+
+
+@pytest.mark.parametrize("length", [5, 600])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_zero_denominator_raises_wherever_it_stands(length, where):
+    dens = list(range(1, length + 1))
+    dens[{"first": 0, "middle": length // 2, "last": -1}[where]] = 0
+    with pytest.raises(ZeroDivisionError):
+        sum_reciprocals(dens)
+
+
+def test_pi_rational_takes_a_fraction_as_it_is_and_refuses_a_float():
+    six_thirds = PiRational(Fraction(6, 3), Fraction(-4, 2))
+    assert six_thirds == PiRational(2, -2) and hash(six_thirds) == hash(PiRational(2, -2))
+    assert type(six_thirds.coefficient) is Fraction
+    for args in ((0.5,), (1, 0.5)):
+        with pytest.raises(TypeError):
+            PiRational(*args)
