@@ -103,6 +103,31 @@ def test_partition_coverage_check_catches_a_wrong_rough_set(
     assert (info.value.exponent, info.value.labels) == (exponent, labels)
 
 
+@pytest.mark.parametrize(
+    "corrupt, exponent, labels",
+    [
+        (lambda rough: [e for e in rough if e != 16381], 16381, []),
+        (lambda rough: [e for e in rough if e != 16385], 16385, []),
+        (lambda rough: sorted(rough + [32767]), 32767, ["F(z)", "F(z)"]),
+        (lambda rough: sorted(rough + [32771]), 32771, ["F(z)", "F(z)"]),
+        (lambda rough: [e for e in rough if e != 39997], 39997, []),
+        (lambda rough: rough + [40003], 40003, ["F(z)"]),
+    ],
+    ids=["gap-before-edge", "gap-after-edge", "repeat-before-edge", "repeat-after-edge",
+         "gap-in-last-window", "past-degree"],
+)
+def test_partition_coverage_check_sees_every_window(monkeypatch, corrupt, exponent, labels):
+    # the check compares 2^14 exponents at a time; a fault next to a window
+    # edge, in the last window or past the degree must fail it all the same
+    assert sorted(geometric_partition(3, 40000).coverage) == list(range(40001))
+    monkeypatch.setattr(
+        decomposition, "rough_numbers", lambda part, limit: corrupt(rough_numbers(part, limit))
+    )
+    with pytest.raises(PartitionViolation) as info:
+        geometric_partition(3, 40000)
+    assert (info.value.exponent, info.value.labels) == (exponent, labels)
+
+
 # pk -> sha256 of repr([sorted(coverage.items()) for D in COVERAGE_DEGREES]),
 # frozen from the code that stored the exponent -> label map in the report
 COVERAGE_DEGREES = (1, 2, 3, 8, 50, 129, 1000)
